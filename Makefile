@@ -102,8 +102,9 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_netsim.json
 	$(GO) test ./internal/netsim/ -run xxx -bench . -benchmem
 
-## bench-gate: fail if PipelineThroughput regressed >10% vs the
-## committed baseline (re-measures on this machine)
+## bench-gate: fail if PipelineThroughput or PipelineThroughputTraced
+## regressed >10% vs the committed baseline, or tracing costs more than
+## 4 extra allocs/op (re-measures on this machine)
 bench-gate:
 	$(GO) run ./cmd/benchjson -check BENCH_netsim.json -tolerance 0.10
 

@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/eventq"
 	"repro/internal/marking"
@@ -231,15 +232,18 @@ func pipelineBenchRecords(b *testing.B, net topology.Network) []wire.Record {
 // exporter gets the same pacing from the socket); batchSize 1 is the
 // single-record Submit discipline, 1024 the exporter client default.
 func benchPipelineBatch(batchSize int) func(b *testing.B) {
-	return benchPipelineOpts(batchSize, 0)
+	return benchPipelineOpts(batchSize, 0, false)
 }
 
 // benchPipelineOpts additionally exposes the stage-latency sampling
 // knob so the observability overhead is measurable: sampleEvery 0 is
 // the production default (1 in 64), -1 disables stage histograms and
 // exemplars entirely. Compare BenchmarkPipelineThroughput against
-// BenchmarkPipelineObservabilityOff to quantify the cost.
-func benchPipelineOpts(batchSize, sampleEvery int) func(b *testing.B) {
+// BenchmarkPipelineObservabilityOff to quantify the cost. traced stamps
+// every record with a trace context (one send-stamp clock read per
+// slab, as the exporter client does per Send) and leaves the flight
+// recorder at its defaults.
+func benchPipelineOpts(batchSize, sampleEvery int, traced bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		net := topology.NewTorus2D(8)
 		recs := pipelineBenchRecords(b, net)
@@ -252,9 +256,8 @@ func benchPipelineOpts(batchSize, sampleEvery int) func(b *testing.B) {
 		}
 		const maxOutstanding = 20 // under the pool size, so slabs recycle
 		var epoch eventq.Time
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		var traceID uint64
+		replay := func() {
 			for off := 0; off < len(recs); off += batchSize {
 				end := off + batchSize
 				if end > len(recs) {
@@ -264,20 +267,44 @@ func benchPipelineOpts(batchSize, sampleEvery int) func(b *testing.B) {
 					runtime.Gosched()
 				}
 				s := p.GetSlab()
+				var sent int64
+				if traced {
+					sent = time.Now().UnixNano()
+				}
 				for _, rec := range recs[off:end] {
 					rec.T += epoch
-					s.Append(rec)
+					if traced {
+						traceID++
+						s.AppendTraced(wire.TracedRecord{Record: rec, Ctx: wire.TraceContext{ID: wire.SplitMix64(traceID), Sent: sent}})
+					} else {
+						s.Append(rec)
+					}
 				}
 				p.SubmitSlab(s)
 			}
 			epoch += 1 << 16
+		}
+		// One untimed replay first: identifier tables, detector windows,
+		// pooled slabs and worker scratch reach their steady size, so
+		// records/sec and allocs/op describe the steady state alone
+		// rather than amortizing one-time growth over however many
+		// iterations the benchmark happened to run.
+		replay()
+		for p.SlabsOutstanding() > 0 {
+			runtime.Gosched()
+		}
+		warm := p.C.Processed.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			replay()
 		}
 		b.StopTimer()
 		p.Close()
 		if p.C.Dropped.Load() != 0 {
 			b.Fatalf("benchmark pacing broken: %d dropped", p.C.Dropped.Load())
 		}
-		b.ReportMetric(float64(p.C.Processed.Load())/b.Elapsed().Seconds(), "records/sec")
+		b.ReportMetric(float64(p.C.Processed.Load()-warm)/b.Elapsed().Seconds(), "records/sec")
 	}
 }
 
@@ -285,11 +312,31 @@ func benchPipelineOpts(batchSize, sampleEvery int) func(b *testing.B) {
 // batch ingest at the exporter client's default frame size.
 var benchPipeline = benchPipelineBatch(1024)
 
-// checkPipeline is the CI regression gate: rerun PipelineThroughput
-// and compare records/sec against the committed baseline file, failing
-// when the measured rate falls more than tolerance below it. Only the
-// pipeline bench gates — the fabric benches are too machine-sensitive
-// to compare across CI runners without a stored reference host.
+// benchPipelineTraced is benchPipeline with every record traced: the
+// grouped worker path plus span timelines, tail sampling and exemplars.
+var benchPipelineTraced = benchPipelineOpts(1024, 0, true)
+
+// tracedAllocSlack bounds how many more allocs/op the traced pipeline
+// benchmark may make than the untraced one: tracing rides the same
+// grouped path and commits into preallocated scratch.
+const tracedAllocSlack = 4
+
+// checkTracedAllocs enforces tracedAllocSlack.
+func checkTracedAllocs(untraced, traced testing.BenchmarkResult) error {
+	if d := traced.AllocsPerOp() - untraced.AllocsPerOp(); d > tracedAllocSlack {
+		return fmt.Errorf("PipelineThroughputTraced makes %d allocs/op, %d more than PipelineThroughput (allowed %d)",
+			traced.AllocsPerOp(), d, tracedAllocSlack)
+	}
+	return nil
+}
+
+// checkPipeline is the CI regression gate: rerun PipelineThroughput and
+// PipelineThroughputTraced and compare records/sec against the
+// committed baseline file, failing when either measured rate falls
+// more than tolerance below its baseline or the traced run exceeds its
+// allocation slack. Only the pipeline benches gate — the fabric benches
+// are too machine-sensitive to compare across CI runners without a
+// stored reference host.
 func checkPipeline(baselinePath string, tolerance float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -299,23 +346,35 @@ func checkPipeline(baselinePath string, tolerance float64) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("%s: %w", baselinePath, err)
 	}
-	want := 0.0
+	want := map[string]float64{}
 	for _, r := range base.Results {
-		if r.Name == "PipelineThroughput" {
-			want = r.Extra["records_per_sec"]
+		want[r.Name] = r.Extra["records_per_sec"]
+	}
+	results := map[string]testing.BenchmarkResult{}
+	for _, bench := range []struct {
+		name string
+		fn   func(*testing.B)
+	}{
+		{"PipelineThroughput", benchPipeline},
+		{"PipelineThroughputTraced", benchPipelineTraced},
+	} {
+		if want[bench.name] <= 0 {
+			return fmt.Errorf("%s has no %s records_per_sec", baselinePath, bench.name)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: running %s ...\n", bench.name)
+		br := testing.Benchmark(bench.fn)
+		results[bench.name] = br
+		got := br.Extra["records/sec"]
+		ratio := got / want[bench.name]
+		fmt.Fprintf(os.Stderr, "benchjson: %s %.0f records/sec vs baseline %.0f (%.1f%%), %d allocs/op\n",
+			bench.name, got, want[bench.name], 100*ratio, br.AllocsPerOp())
+		if ratio < 1-tolerance {
+			return fmt.Errorf("%s regressed %.1f%% (tolerance %.0f%%): %.0f < %.0f records/sec",
+				bench.name, 100*(1-ratio), 100*tolerance, got, want[bench.name])
 		}
 	}
-	if want <= 0 {
-		return fmt.Errorf("%s has no PipelineThroughput records_per_sec", baselinePath)
-	}
-	fmt.Fprintln(os.Stderr, "benchjson: running PipelineThroughput ...")
-	got := testing.Benchmark(benchPipeline).Extra["records/sec"]
-	ratio := got / want
-	fmt.Fprintf(os.Stderr, "benchjson: PipelineThroughput %.0f records/sec vs baseline %.0f (%.1f%%)\n",
-		got, want, 100*ratio)
-	if ratio < 1-tolerance {
-		return fmt.Errorf("PipelineThroughput regressed %.1f%% (tolerance %.0f%%): %.0f < %.0f records/sec",
-			100*(1-ratio), 100*tolerance, got, want)
+	if err := checkTracedAllocs(results["PipelineThroughput"], results["PipelineThroughputTraced"]); err != nil {
+		return err
 	}
 	// The sparse-victim run gates on its invariants (bounded state,
 	// exactness, flat memory), not on rate — those break functionally,
@@ -332,7 +391,7 @@ func checkPipeline(baselinePath string, tolerance float64) error {
 
 func main() {
 	out := flag.String("o", "BENCH_netsim.json", "output path ('-' for stdout)")
-	check := flag.String("check", "", "regression-gate mode: compare PipelineThroughput against this baseline JSON and exit 1 on regression")
+	check := flag.String("check", "", "regression-gate mode: compare PipelineThroughput and PipelineThroughputTraced against this baseline JSON and exit 1 on regression")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional PipelineThroughput regression in -check mode")
 	flag.Parse()
 
@@ -378,6 +437,14 @@ func main() {
 	fmt.Fprintln(os.Stderr, "benchjson: running PipelineThroughput ...")
 	pt := testing.Benchmark(benchPipeline)
 	rep.Results = append(rep.Results, record("PipelineThroughput", pt, "records/sec"))
+
+	fmt.Fprintln(os.Stderr, "benchjson: running PipelineThroughputTraced ...")
+	ptt := testing.Benchmark(benchPipelineTraced)
+	rep.Results = append(rep.Results, record("PipelineThroughputTraced", ptt, "records/sec"))
+	if err := checkTracedAllocs(pt, ptt); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
 
 	fmt.Fprintln(os.Stderr, "benchjson: running PipelineSparseVictims ...")
 	var sparseErr error

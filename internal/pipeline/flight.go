@@ -118,15 +118,7 @@ func (t *Trace) Interesting(slowNS int64) bool {
 	if t.Outcome != OutcomeIdentified && t.Outcome != OutcomeUndecodable && t.Outcome != OutcomeSuppressed {
 		return true
 	}
-	if slowNS <= 0 {
-		return false
-	}
-	for _, d := range [...]int64{t.Wire, t.Forward, t.Ingest, t.Identify, t.Detect, t.Block} {
-		if d > slowNS {
-			return true
-		}
-	}
-	return false
+	return slowNS > 0 && max(t.Wire, t.Forward, t.Ingest, t.Identify, t.Detect, t.Block) > slowNS
 }
 
 // FlightRecorder is the fixed-size ring of retained traces plus the
@@ -186,26 +178,72 @@ func (r *FlightRecorder) Evicted() uint64  { return r.evicted.Load() }
 // retained it. The caller's trace value is copied; no reference is
 // kept.
 func (r *FlightRecorder) Commit(t *Trace) bool {
-	r.observed.Add(1)
-	if !t.Interesting(r.slowNS) {
-		if r.boring.Add(1)%r.sampleN != 0 {
-			return false
+	one := [1]Trace{*t}
+	return r.CommitGroup(one[:]) == 1
+}
+
+// CommitGroup offers a batch of completed traces with exactly the
+// retention and accounting of len(ts) sequential Commits, for one pass
+// of the shared counters and one ring lock. The retained traces are
+// moved, in order, to the front of ts and their count is returned; the
+// recorder keeps no reference to ts.
+func (r *FlightRecorder) CommitGroup(ts []Trace) int {
+	if len(ts) == 0 {
+		return 0
+	}
+	r.observed.Add(uint64(len(ts)))
+	var boring uint64
+	for i := range ts {
+		if !ts[i].Interesting(r.slowNS) {
+			boring++
 		}
-		r.sampled.Add(1)
 	}
-	r.retained.Add(1)
+	// Reserving the group's boring ticks in one Add serializes it
+	// against concurrent committers like N back-to-back Commits; phase
+	// is the reserved range's position in the 1-in-N cycle.
+	var phase uint64
+	if boring > 0 {
+		phase = (r.boring.Add(boring) - boring) % r.sampleN
+	}
+	kept, sampled := 0, uint64(0)
+	for i := range ts {
+		if !ts[i].Interesting(r.slowNS) {
+			if phase++; phase != r.sampleN {
+				continue
+			}
+			phase = 0
+			sampled++
+		}
+		if kept != i {
+			ts[kept] = ts[i]
+		}
+		kept++
+	}
+	if sampled > 0 {
+		r.sampled.Add(sampled)
+	}
+	if kept == 0 {
+		return 0
+	}
+	r.retained.Add(uint64(kept))
+	var evicted uint64
 	r.mu.Lock()
-	if r.full {
-		r.evicted.Add(1)
-	}
-	r.ring[r.next] = *t
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
+	for i := 0; i < kept; i++ {
+		if r.full {
+			evicted++
+		}
+		r.ring[r.next] = ts[i]
+		r.next++
+		if r.next == len(r.ring) {
+			r.next = 0
+			r.full = true
+		}
 	}
 	r.mu.Unlock()
-	return true
+	if evicted > 0 {
+		r.evicted.Add(evicted)
+	}
+	return kept
 }
 
 // CommitEvent retains a synthetic stream-level trace (resync, session

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -238,5 +239,98 @@ func TestOutcomeStringRoundTrip(t *testing.T) {
 	}
 	if s := Outcome(200).String(); s != "outcome(200)" {
 		t.Errorf("out-of-range outcome renders %q", s)
+	}
+}
+
+// TestCommitGroupMatchesSequentialCommits holds CommitGroup to its
+// contract: one group of N traces retains, orders and accounts exactly
+// like N back-to-back Commits — each checked against the 1-in-N rule —
+// across sampling rates, with and without the slow gate, and across
+// ring wrap (groups larger than the ring included), and hands back the
+// retained traces in commit order.
+func TestCommitGroupMatchesSequentialCommits(t *testing.T) {
+	const ringSize = 16
+	var seq []Trace
+	for i := 1; i <= 300; i++ {
+		tr := mkBoring(uint64(i))
+		switch {
+		case i%17 == 0:
+			tr.Outcome = OutcomeBlock
+		case i%11 == 0:
+			tr.Outcome = OutcomeBlockedHit
+		case i%7 == 0:
+			tr.Outcome = OutcomeUndecodable
+		case i%5 == 0:
+			tr.Identify = int64(time.Second) // slow whenever the gate is on
+		}
+		seq = append(seq, tr)
+	}
+	groupSizes := []int{1, 5, 40, 3, 64, 2} // cycled; 40 and 64 exceed the ring
+	for _, sampleN := range []int{1, 3, 64} {
+		for _, slow := range []time.Duration{time.Millisecond, -1} {
+			one := NewFlightRecorder(ringSize, sampleN, slow)
+			grp := NewFlightRecorder(ringSize, sampleN, slow)
+			// The sampling rule itself: interesting traces always, and the
+			// k-th boring trace when k is a multiple of sampleN.
+			var wantKept []uint64
+			boring := 0
+			for i := range seq {
+				tr := seq[i]
+				keep := tr.Interesting(slow.Nanoseconds())
+				if !keep {
+					boring++
+					keep = boring%sampleN == 0
+				}
+				if one.Commit(&tr) != keep {
+					t.Fatalf("sampleN=%d slow=%v: Commit of trace %d returned %v, the 1-in-N rule says %v", sampleN, slow, tr.ID, !keep, keep)
+				}
+				if keep {
+					wantKept = append(wantKept, tr.ID)
+				}
+			}
+			var gotKept []uint64
+			scratch := make([]Trace, 0, 64)
+			for off, g := 0, 0; off < len(seq); g++ {
+				end := min(off+groupSizes[g%len(groupSizes)], len(seq))
+				ts := append(scratch[:0], seq[off:end]...)
+				for _, tr := range ts[:grp.CommitGroup(ts)] {
+					gotKept = append(gotKept, tr.ID)
+				}
+				off = end
+			}
+			name := fmt.Sprintf("sampleN=%d slow=%v", sampleN, slow)
+			if len(gotKept) != len(wantKept) {
+				t.Fatalf("%s: group commit retained %d traces, sequential %d", name, len(gotKept), len(wantKept))
+			}
+			for i := range wantKept {
+				if gotKept[i] != wantKept[i] {
+					t.Fatalf("%s: retained trace %d is %d, sequential commit retained %d", name, i, gotKept[i], wantKept[i])
+				}
+			}
+			if one.next != grp.next || one.full != grp.full {
+				t.Fatalf("%s: ring cursor (%d, full=%v) vs sequential (%d, full=%v)", name, grp.next, grp.full, one.next, one.full)
+			}
+			for i := range one.ring {
+				if one.ring[i] != grp.ring[i] {
+					t.Fatalf("%s: ring slot %d holds %+v, sequential %+v", name, i, grp.ring[i], one.ring[i])
+				}
+			}
+			for _, c := range []struct {
+				what     string
+				got, exp uint64
+			}{
+				{"Observed", grp.Observed(), one.Observed()},
+				{"Retained", grp.Retained(), one.Retained()},
+				{"Sampled", grp.Sampled(), one.Sampled()},
+				{"Evicted", grp.Evicted(), one.Evicted()},
+			} {
+				if c.got != c.exp {
+					t.Errorf("%s: %s = %d, sequential %d", name, c.what, c.got, c.exp)
+				}
+			}
+			if one.Evicted() == 0 {
+				t.Fatalf("%s: the sequence never wrapped the ring", name)
+			}
+		}
 	}
 }

@@ -117,9 +117,10 @@ type Config struct {
 	JournalTopK int
 
 	// TraceBuffer is the flight-recorder capacity in traces (default
-	// 4096; negative disables per-record tracing — SubmitTraced then
-	// degrades to Submit). Records without a trace context cost one
-	// branch regardless, so the recorder can stay on in production.
+	// 4096; negative disables per-record tracing — a slab's trace lane
+	// is then ignored and its records run exactly like untraced ones).
+	// Traced records share the grouped worker path with untraced ones,
+	// so the recorder can stay on in production.
 	TraceBuffer int
 
 	// TraceSampleN is the tail-sampling rate for boring traces: 1 in N
@@ -322,16 +323,6 @@ type victimState struct {
 	entropyL detect.InnerLocker
 }
 
-// job is the traced slow path's per-record unit: the record plus its
-// trace context and the Submit-entry wall clock (unix nanos, 0 when
-// neither traced nor latency-sampled). Untraced records never become
-// jobs — they stay in the slab and take the grouped fast path.
-type job struct {
-	rec wire.Record
-	tc  wire.TraceContext
-	t0  int64
-}
-
 // batch is one shard-queue element: a [start, end) view into a
 // partitioned slab (records contiguous and victim-grouped) plus the
 // Submit-entry wall clock. The receiving worker owns one slab
@@ -364,9 +355,12 @@ type shard struct {
 	mu      sync.Mutex // guards victims map shape (worker writes, admin reads)
 	victims map[topology.NodeID]*victimState
 
-	// srcs is the fast path's per-group identification scratch: the
-	// identified source per record, or a negative sentinel.
-	srcs []int32
+	// Per-group worker scratch: srcs holds the identified source per
+	// record (or a negative sentinel, see srcBlocked), outs each traced
+	// record's outcome, traces the group's traces before their commit.
+	srcs   []int32
+	outs   []Outcome
+	traces []Trace
 
 	// Admission gate (nil when SketchAdmit < 0): destinations must look
 	// hot in the count-min sketch + space-saving table before they earn
@@ -385,24 +379,29 @@ type shard struct {
 	gated  atomic.Int64
 
 	// Per-shard worker counters behind the shard="N" metric labels.
-	// seen and batches are worker-local latency-sampling clocks (seen
-	// ticks per record on the traced slow path, batches per sub-batch
-	// on the fast path); the pend fields batch counts between flushes
-	// so the hot path pays two atomic adds per flushEvery records (or
-	// per queue drain) instead of per record. The atomics are what the
+	// batches is the worker-local latency-sampling clock, one tick per
+	// sub-batch; the pend fields batch counts between flushes so the
+	// hot path pays two atomic adds per flushEvery records (or per
+	// queue drain) instead of per record. The atomics are what the
 	// admin plane reads.
-	seen           uint64
 	batches        uint64
 	pendProcessed  uint64
 	pendIdentified uint64
 	processed      atomic.Uint64
 	identified     atomic.Uint64
 	dropped        atomic.Uint64
+}
 
-	// tr is the worker-local trace under construction, reused across
-	// records so the untraced hot path never zeroes a Trace (Commit
-	// copies it into the ring, keeping reuse safe).
-	tr Trace
+// scratch returns the shard's per-group srcs and outs scratch sized n.
+// Called only from the shard's worker goroutine; the slices are valid
+// until the next call.
+func (s *shard) scratch(n int) ([]int32, []Outcome) {
+	if cap(s.srcs) < n {
+		c := max(n, wire.SlabCap)
+		s.srcs = make([]int32, c)
+		s.outs = make([]Outcome, c)
+	}
+	return s.srcs[:n], s.outs[:n]
 }
 
 // flushEvery bounds how stale a shard's published counters may be
@@ -543,23 +542,11 @@ func (p *Pipeline) Submit(rec wire.Record) bool {
 	return p.SubmitSlab(s) == 1
 }
 
-// SubmitTraced is Submit for records carrying a wire trace context. A
-// zero context (ID 0) behaves exactly like Submit; a nonzero one has
-// its journey recorded into the flight recorder, including the
-// rejection paths (every trace gets an ending, even "the queue was
-// full").
-func (p *Pipeline) SubmitTraced(tr wire.TracedRecord) bool {
-	s := p.pool.Get()
-	if tr.Ctx.ID != 0 {
-		s.AppendTraced(tr)
-	} else {
-		s.Append(tr.Record) // keep the untraced single-record path on the slab fast path
-	}
-	return p.SubmitSlab(s) == 1
-}
-
 // SubmitSlab offers a filled slab to the pipeline without blocking and
-// returns how many of its records were enqueued. The slab is
+// returns how many of its records were enqueued. Records whose trace
+// lane entry is nonzero (wire.Slab.AppendTraced) have their journey
+// recorded into the flight recorder, including the rejection paths:
+// every trace gets an ending, even "the queue was full". The slab is
 // partitioned in place by victim shard; each shard's contiguous
 // sub-batch is submitted as one queue element. A full shard queue
 // sheds that whole sub-batch (each record counted in Dropped and the
@@ -595,7 +582,7 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 			p.C.BadVictim.Add(1)
 		}
 		if traced && s.Ctxs[i].ID != 0 {
-			p.traceIngestFail(true, &wire.TracedRecord{Record: rec, Ctx: s.Ctxs[i]}, t0, OutcomeRejected)
+			p.traceIngestFail(&s.Ctxs[i], rec.Victim, t0, OutcomeRejected)
 		}
 	}
 	p.mu.RLock()
@@ -607,7 +594,7 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 		if traced {
 			for i := 0; i < valid; i++ {
 				if s.Ctxs[i].ID != 0 {
-					p.traceIngestFail(true, &wire.TracedRecord{Record: s.Recs[i], Ctx: s.Ctxs[i]}, t0, OutcomeRejected)
+					p.traceIngestFail(&s.Ctxs[i], s.Recs[i].Victim, t0, OutcomeRejected)
 				}
 			}
 		}
@@ -632,7 +619,7 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 			if traced {
 				for i := g.Start; i < g.End; i++ {
 					if s.Ctxs[i].ID != 0 {
-						p.traceIngestFail(true, &wire.TracedRecord{Record: s.Recs[i], Ctx: s.Ctxs[i]}, t0, OutcomeDrop)
+						p.traceIngestFail(&s.Ctxs[i], s.Recs[i].Victim, t0, OutcomeDrop)
 					}
 				}
 			}
@@ -650,27 +637,44 @@ func (p *Pipeline) SubmitSlab(s *wire.Slab) (accepted int) {
 
 // traceIngestFail commits a trace for a record that never reached a
 // shard worker: validation rejection or queue-full shed. Only the Wire
-// span is known; everything downstream is SpanMissing.
-func (p *Pipeline) traceIngestFail(traced bool, tr *wire.TracedRecord, t0 time.Time, out Outcome) {
-	if !traced {
-		return
-	}
-	t := Trace{
-		ID: tr.Ctx.ID, Sent: tr.Ctx.Sent, Start: t0.UnixNano(),
-		Victim: int64(tr.Victim), Source: -1, Shard: -1, Outcome: out,
-		Wire: SpanMissing, Forward: SpanMissing, Ingest: SpanMissing,
-		Identify: SpanMissing, Detect: SpanMissing, Block: SpanMissing,
-	}
-	if tr.Ctx.Routed > 0 {
-		if tr.Ctx.Sent > 0 {
-			t.Wire = tr.Ctx.Routed - tr.Ctx.Sent
+// (and Forward) spans are known; everything downstream is SpanMissing.
+func (p *Pipeline) traceIngestFail(c *wire.TraceContext, victim topology.NodeID, t0 time.Time, out Outcome) {
+	var t [1]Trace
+	t[0].begin(c, t0.UnixNano(), int64(victim), -1)
+	t[0].Outcome = out
+	p.commitTraces(t[:])
+}
+
+// stageSpans returns the trace's daemon-side spans in stage order.
+func (t *Trace) stageSpans() [numStages]int64 {
+	return [numStages]int64{t.Ingest, t.Identify, t.Detect, t.Block}
+}
+
+// begin (re)starts t as the trace of a record that entered Submit at
+// start (unix nanos): its identity plus the Wire and Forward spans read
+// off its context. Every daemon-side span starts SpanMissing, Source
+// -1 and Outcome identified. Filling in place keeps the worker's trace
+// scratch free of whole-struct copies.
+func (t *Trace) begin(c *wire.TraceContext, start, victim int64, shard int32) {
+	t.ID, t.Sent, t.Start = c.ID, c.Sent, start
+	t.Victim, t.Source, t.Shard = victim, -1, shard
+	t.Outcome, t.Origin = OutcomeIdentified, 0
+	t.Wire, t.Forward, t.Ingest = SpanMissing, SpanMissing, SpanMissing
+	t.Identify, t.Detect, t.Block = SpanMissing, SpanMissing, SpanMissing
+	if c.Routed > 0 {
+		// The record crossed a cluster forward hop: Wire ends at the
+		// origin's route decision, Forward covers route → forward
+		// queue → wire → this node's Submit entry.
+		if c.Sent > 0 {
+			t.Wire = c.Routed - c.Sent
 		}
-		t.Forward = t.Start - tr.Ctx.Routed
-		t.Origin = tr.Ctx.Origin
-	} else if tr.Ctx.Sent > 0 {
-		t.Wire = t.Start - tr.Ctx.Sent
+		if start > 0 {
+			t.Forward = start - c.Routed
+		}
+		t.Origin = c.Origin
+	} else if c.Sent > 0 && start > 0 {
+		t.Wire = start - c.Sent
 	}
-	p.commitTrace(&t)
 }
 
 // observeDetection records one send-to-block detection latency sample.
@@ -693,19 +697,41 @@ func (p *Pipeline) DetectionLatency() (*stats.Histogram, int64) {
 	return p.detLat.hist.Snapshot(), p.detLat.sumNS.Load()
 }
 
-// commitTrace offers a completed trace to the flight recorder and, if
-// tail sampling retained it, stamps its id as the exemplar of every
-// stage-histogram bin its spans fall in. Stamping only retained traces
-// keeps exemplars resolvable: an id read off /metrics can always be
-// looked up in /debug/traces (until the ring evicts it).
-func (p *Pipeline) commitTrace(t *Trace) {
-	if !p.fr.Commit(t) || !p.sampleOn {
+// commitTraces offers a group of completed traces to the flight
+// recorder and stamps each stage histogram's exemplar once, from the
+// most severe retained trace that reached the stage — block, then
+// alarm, then any other. A victim group's traces share their pass spans
+// and so their bins; ranking keeps the record that explains a block
+// from being painted over by the blocked hits beside it. Stamping only
+// retained traces keeps exemplars resolvable: an id read off /metrics
+// can always be looked up in /debug/traces (until the ring evicts it).
+func (p *Pipeline) commitTraces(ts []Trace) {
+	kept := ts[:p.fr.CommitGroup(ts)]
+	if !p.sampleOn || len(kept) == 0 {
 		return
 	}
-	for stage, ns := range [numStages]int64{t.Ingest, t.Identify, t.Detect, t.Block} {
-		if ns >= 0 {
-			p.lat[stage].hist.SetExemplar(stats.Log2NS(ns), t.ID)
+	var best, rank [numStages]int
+	for i := range kept {
+		t := &kept[i]
+		r := 1
+		switch t.Outcome {
+		case OutcomeBlock:
+			r = 3
+		case OutcomeAlarm:
+			r = 2
 		}
+		for stage, ns := range t.stageSpans() {
+			if ns >= 0 && r >= rank[stage] {
+				best[stage], rank[stage] = i, r
+			}
+		}
+	}
+	for stage := range numStages {
+		if rank[stage] == 0 {
+			continue
+		}
+		t := &kept[best[stage]]
+		p.lat[stage].hist.SetExemplar(stats.Log2NS(t.stageSpans()[stage]), t.ID)
 	}
 }
 
@@ -762,33 +788,26 @@ func (p *Pipeline) run(s *shard, si int) {
 	s.flush()
 }
 
-// processBatch consumes one sub-batch view. Traced slabs take the
-// per-record slow path (exact span semantics per trace); untraced
-// slabs — the hot path — run grouped per victim.
-func (p *Pipeline) processBatch(s *shard, si int, b batch) {
-	slab := b.slab
-	if slab.Ctxs != nil {
-		for i := b.start; i < b.end; i++ {
-			p.process(s, si, job{rec: slab.Recs[i], tc: slab.Ctxs[i], t0: b.t0})
-		}
-		return
-	}
-	p.processFast(s, si, slab.Recs[b.start:b.end])
-}
-
 // srcBlocked marks a record whose identified source was already
 // blocked at observation time (dropped before the detectors, like the
-// in-fabric filter would).
+// in-fabric filter would). Such a record keeps its source encoded below
+// the sentinel, as srcBlocked − src, for its trace.
 const srcBlocked = int32(-2)
 
-// fastCtx accumulates one batch's worth of tallies and sampled stage
-// timings across its victim groups — including groups replayed through
-// the admission gate — flushed to the atomic counters once per batch.
-type fastCtx struct {
-	sampled bool
+// batchCtx accumulates one batch's worth of tallies and stage timings
+// across its victim groups — including groups replayed through the
+// admission gate — flushed to the atomic counters once per batch.
+type batchCtx struct {
+	sampled bool  // this batch feeds the stage histograms
+	timed   bool  // sampled or traced: read the clock at pass boundaries
+	t0      int64 // the batch's Submit-entry wall clock (unix nanos; 0 when untimed)
 	tMark   time.Time
 
-	durIdent, durDetect, durBlock time.Duration
+	// dur sums each stage's pass wall times over the batch (the sampled
+	// histograms); span holds the batch's ingest span and then the
+	// latest group's identify/detect/block pass wall times (the traces).
+	dur  [numStages]time.Duration
+	span [numStages]int64
 
 	identified, undecodable, blockedHits uint64
 	alarms, blocks                       uint64
@@ -796,9 +815,19 @@ type fastCtx struct {
 	admitted, unbuildable                uint64
 }
 
+// lap closes one pass of a group: its wall time since the previous
+// boundary becomes the group's span for stage and adds to the batch sum.
+func (fc *batchCtx) lap(stage int) {
+	t := time.Now()
+	d := t.Sub(fc.tMark)
+	fc.tMark = t
+	fc.dur[stage] += d
+	fc.span[stage] = d.Nanoseconds()
+}
+
 // flush publishes the accumulated tallies. The worker-local pending
 // counters piggyback on the shard's existing flush cadence.
-func (fc *fastCtx) flush(p *Pipeline, s *shard) {
+func (fc *batchCtx) flush(p *Pipeline, s *shard) {
 	if fc.identified > 0 {
 		p.C.Identified.Add(fc.identified)
 		s.pendIdentified += fc.identified
@@ -832,7 +861,7 @@ func (fc *fastCtx) flush(p *Pipeline, s *shard) {
 	}
 }
 
-// processFast is the untraced batch path: records are already grouped
+// processBatch consumes one sub-batch view. Records are already grouped
 // by victim, so each group runs three passes — identify under one
 // identifier lock, detect under one detector lock, block under the
 // identifier lock again — and counters/latency histograms are written
@@ -840,6 +869,12 @@ func (fc *fastCtx) flush(p *Pipeline, s *shard) {
 // without exact state first clear the sketch admission gate (see
 // gateRecord); the rest of the group from the crossing record on takes
 // the exact path.
+//
+// A slab carrying a trace lane takes the same path while the flight
+// recorder is on: the passes also record each traced record's outcome,
+// and the group's traces are committed together once its passes end,
+// with the group's pass wall times as their identify/detect/block
+// spans (DESIGN.md §10.2).
 //
 // Batch granularity shifts two per-record behaviors by design: a block
 // inserted while processing a group takes effect from the next group
@@ -849,15 +884,25 @@ func (fc *fastCtx) flush(p *Pipeline, s *shard) {
 // latch is set, not only records after the alarming one. Both keep the
 // end state — who is blocked, who alarmed — identical for steady
 // streams; see DESIGN.md §11.
-func (p *Pipeline) processFast(s *shard, si int, recs []wire.Record) {
+func (p *Pipeline) processBatch(s *shard, si int, b batch) {
+	recs := b.slab.Recs[b.start:b.end]
+	var ctxs []wire.TraceContext
+	if b.slab.Ctxs != nil && p.fr != nil {
+		ctxs = b.slab.Ctxs[b.start:b.end]
+	}
 	n := len(recs)
 	p.C.Processed.Add(uint64(n))
 	s.pendProcessed += uint64(n)
-	fc := fastCtx{sampled: p.sampleOn && s.batches&p.sampleMask == 0}
+	fc := batchCtx{sampled: p.sampleOn && s.batches&p.sampleMask == 0, t0: b.t0}
 	s.batches++
-	s.seen += uint64(n)
-	if fc.sampled {
+	fc.timed = fc.sampled || ctxs != nil
+	if fc.timed {
 		fc.tMark = time.Now()
+	}
+	fc.span[stageIngest] = SpanMissing
+	if ctxs != nil && b.t0 > 0 {
+		// Submit entry → worker dequeue: validation plus queue wait.
+		fc.span[stageIngest] = fc.tMark.UnixNano() - b.t0
 	}
 	for gi := 0; gi < n; {
 		v := recs[gi].Victim
@@ -866,44 +911,97 @@ func (p *Pipeline) processFast(s *shard, si int, recs []wire.Record) {
 			ge++
 		}
 		group := recs[gi:ge]
+		var gctx []wire.TraceContext
+		if ctxs != nil {
+			gctx = ctxs[gi:ge]
+		}
 		gi = ge
 		st := s.victims[v]
+		k, kOut := 0, OutcomeSuppressed // leading records that never reach exact state
 		if st == nil {
-			if p.schemeErr != nil {
+			switch {
+			case p.schemeErr != nil:
 				// Unbuildable scheme for this fabric, cached at New: count
 				// and move on instead of retrying construction per batch.
 				fc.unbuildable += uint64(len(group))
-				continue
-			}
-			if s.cm != nil {
+				k, kOut = len(group), OutcomeUndecodable
+			case s.cm != nil:
 				// Admission gate: feed records through the sketch one at a
 				// time until one materializes the victim; the crossing
 				// record onward takes the exact path below.
-				k := 0
 				for k < len(group) {
 					if st = p.gateRecord(s, v, group[k], &fc); st != nil {
 						break
 					}
 					k++
 				}
-				if st == nil {
-					continue // the whole group stayed sketch-only
-				}
-				group = group[k:]
-			} else {
+			default:
 				st = p.materialize(s, v)
 			}
 		}
-		p.processGroup(s, st, v, group, &fc)
+		srcs, outs := s.scratch(len(group))
+		if gctx == nil {
+			if st != nil {
+				p.processGroup(st, v, group[k:], nil, srcs[k:], nil, &fc)
+			}
+			continue
+		}
+		for i := 0; i < k; i++ {
+			srcs[i], outs[i] = -1, kOut
+		}
+		if st != nil {
+			p.processGroup(st, v, group[k:], gctx[k:], srcs[k:], outs[k:], &fc)
+		} else {
+			// No exact state: the whole group stopped at the lookup.
+			fc.lap(stageIdentify)
+			fc.span[stageDetect], fc.span[stageBlock] = SpanMissing, SpanMissing
+		}
+		p.traceGroup(s, si, v, gctx, srcs, outs, &fc)
 	}
 	fc.flush(p, s)
 	if fc.sampled {
 		// One amortized observation per stage per sampled batch.
 		nn := time.Duration(n)
-		p.lat[stageIdentify].observe(uint64(si), fc.durIdent/nn)
-		p.lat[stageDetect].observe(uint64(si), fc.durDetect/nn)
-		p.lat[stageBlock].observe(uint64(si), fc.durBlock/nn)
+		for stage := stageIdentify; stage < numStages; stage++ {
+			p.lat[stage].observe(uint64(si), fc.dur[stage]/nn)
+		}
 	}
+}
+
+// traceGroup builds the trace of every traced record of one victim
+// group — outcome and source from the group's scratch, spans from the
+// batch's ingest span and the group's pass wall times — and commits
+// them as one flight-recorder group. A blocked hit never reached the
+// detectors and a sketch-only record stopped at the gate, so those
+// spans stay SpanMissing. The commit's own cost is kept out of the
+// next group's identify span.
+func (p *Pipeline) traceGroup(s *shard, si int, v topology.NodeID, ctxs []wire.TraceContext, srcs []int32, outs []Outcome, fc *batchCtx) {
+	ts := s.traces[:0]
+	for i := range ctxs {
+		if ctxs[i].ID == 0 {
+			continue
+		}
+		ts = append(ts, Trace{})
+		t := &ts[len(ts)-1]
+		t.begin(&ctxs[i], fc.t0, int64(v), int32(si))
+		t.Outcome = outs[i]
+		t.Ingest, t.Identify, t.Detect, t.Block = fc.span[stageIngest], fc.span[stageIdentify], fc.span[stageDetect], fc.span[stageBlock]
+		switch src := srcs[i]; {
+		case src >= 0:
+			t.Source = int64(src)
+		case src <= srcBlocked:
+			t.Source = int64(srcBlocked - src)
+		}
+		switch t.Outcome {
+		case OutcomeBlockedHit:
+			t.Detect = SpanMissing
+		case OutcomeSuppressed:
+			t.Detect, t.Block = SpanMissing, SpanMissing
+		}
+	}
+	s.traces = ts
+	p.commitTraces(ts)
+	fc.tMark = time.Now()
 }
 
 // gateRecord runs one record of a destination without exact state
@@ -915,7 +1013,7 @@ func (p *Pipeline) processFast(s *shard, si int, recs []wire.Record) {
 // evidence from the moment the destination started being tracked. The
 // crossing record itself is not replayed; the caller processes it (and
 // the rest of its group) normally.
-func (p *Pipeline) gateRecord(s *shard, v topology.NodeID, rec wire.Record, fc *fastCtx) *victimState {
+func (p *Pipeline) gateRecord(s *shard, v topology.NodeID, rec wire.Record, fc *batchCtx) *victimState {
 	key := uint64(v)
 	est := s.cm.Add(key)
 	if s.gateN++; s.gateN >= uint64(p.cfg.SketchDecayEvery) {
@@ -950,7 +1048,8 @@ func (p *Pipeline) gateRecord(s *shard, v topology.NodeID, rec wire.Record, fc *
 	}
 	if len(buf) > 0 {
 		fc.replayed += uint64(len(buf))
-		p.processGroup(s, st, v, buf, fc)
+		srcs, _ := s.scratch(len(buf))
+		p.processGroup(st, v, buf, nil, srcs, nil, fc)
 	}
 	s.hh.Remove(key)
 	s.gated.Store(int64(s.hh.Len()))
@@ -968,23 +1067,19 @@ func (p *Pipeline) materialize(s *shard, v topology.NodeID) *victimState {
 }
 
 // processGroup runs one victim group through the three exact passes —
-// identify, detect, block — accumulating tallies and sampled stage
-// timings into fc. Called from processFast per partitioned group and
-// from gateRecord for admission replays.
-func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, group []wire.Record, fc *fastCtx) {
+// identify, detect, block — accumulating tallies and pass timings into
+// fc. srcs is the caller's per-record scratch, len(group) long. When
+// ctxs is non-nil the group is traced: outs (also len(group)) receives
+// each record's outcome, and a block decided on a traced record feeds
+// the send-to-block detection latency. Called from processBatch per
+// partitioned group and from gateRecord for admission replays.
+func (p *Pipeline) processGroup(st *victimState, v topology.NodeID, group []wire.Record, ctxs []wire.TraceContext, srcs []int32, outs []Outcome, fc *batchCtx) {
 	now := p.cfg.Now()
 	st.lastSeen.Store(now)
-	if need := len(group); cap(s.srcs) < need {
-		if need < wire.SlabCap {
-			need = wire.SlabCap
-		}
-		s.srcs = make([]int32, 0, need)
-	}
 
 	// Pass A: identify the whole group under one identifier lock,
 	// then prefilter already-blocked sources (skipped entirely while
 	// the blocklist is empty — the steady state).
-	srcs := s.srcs[:len(group)]
 	id := st.ident.Lock()
 	for k := range group {
 		if src, ok := id.ObserveMF(group[k].MF); ok {
@@ -997,17 +1092,27 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 	}
 	st.ident.Unlock()
 	if !p.bl.Empty() {
-		for k := range srcs {
-			if srcs[k] >= 0 && p.bl.BlockedAt(topology.NodeID(srcs[k]), now) {
-				srcs[k] = srcBlocked
+		for k, src := range srcs {
+			if src >= 0 && p.bl.BlockedAt(topology.NodeID(src), now) {
+				srcs[k] = srcBlocked - src
 				fc.blockedHits++
 			}
 		}
 	}
-	if fc.sampled {
-		t := time.Now()
-		fc.durIdent += t.Sub(fc.tMark)
-		fc.tMark = t
+	if ctxs != nil {
+		for k, src := range srcs {
+			switch {
+			case src >= 0:
+				outs[k] = OutcomeIdentified
+			case src == -1:
+				outs[k] = OutcomeUndecodable
+			default:
+				outs[k] = OutcomeBlockedHit
+			}
+		}
+	}
+	if fc.timed {
+		fc.lap(stageIdentify)
 	}
 
 	// Pass B: feed both detectors under one lock each. Blocked
@@ -1017,9 +1122,10 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 	en := st.entropyL.LockInner()
 	pk := &st.scratch
 	newAlarm := st.alarmed.Load()
+	alarmAt := -1
 	var cuA, enA bool
 	for k := range group {
-		if srcs[k] == srcBlocked {
+		if srcs[k] <= srcBlocked {
 			continue
 		}
 		pk.Hdr.Src = group[k].Src
@@ -1027,7 +1133,7 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 		cu.Observe(group[k].T, pk)
 		en.Observe(group[k].T, pk)
 		if !newAlarm && (cu.Alarmed() || en.Alarmed()) {
-			newAlarm = true
+			newAlarm, alarmAt = true, k
 			cuA, enA = cu.Alarmed(), en.Alarmed()
 		}
 	}
@@ -1036,12 +1142,13 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 	if newAlarm && !st.alarmed.Load() {
 		st.alarmed.Store(true)
 		fc.alarms++
-		p.journalAlarmDetail(now, v, cuA, enA)
+		p.journalAlarm(now, v, cuA, enA)
+		if ctxs != nil {
+			outs[alarmAt] = OutcomeAlarm
+		}
 	}
-	if fc.sampled {
-		t := time.Now()
-		fc.durDetect += t.Sub(fc.tMark)
-		fc.tMark = t
+	if fc.timed {
+		fc.lap(stageDetect)
 	}
 
 	// Pass C: once the victim's alarm latch is set, block every
@@ -1060,207 +1167,28 @@ func (p *Pipeline) processGroup(s *shard, st *victimState, v topology.NodeID, gr
 				}
 				p.bl.BlockUntilFor(src, until, v)
 				fc.blocks++
-				p.journalBlockInner(now, v, src, cnt, until, id)
+				p.journalBlock(now, v, src, cnt, until, id)
+				if ctxs != nil {
+					outs[k] = OutcomeBlock
+					if ctxs[k].Sent > 0 {
+						// True send-to-block latency: the exporter's original
+						// send stamp survives forwarding, so this holds across
+						// owner changes and cluster hops.
+						p.observeDetection(uint64(v), now-ctxs[k].Sent)
+					}
+				}
 			}
 		}
 		st.ident.Unlock()
 	}
-	if fc.sampled {
-		t := time.Now()
-		fc.durBlock += t.Sub(fc.tMark)
-		fc.tMark = t
+	if fc.timed {
+		fc.lap(stageBlock)
 	}
 }
 
-// process is the traced slow path: one record, full span accounting.
-func (p *Pipeline) process(s *shard, si int, j job) {
-	rec := j.rec
-	p.C.Processed.Add(1)
-	s.pendProcessed++
-	sampled := p.sampleOn && s.seen&p.sampleMask == 0
-	s.seen++
-	traced := j.tc.ID != 0 && p.fr != nil
-	timed := sampled || traced
-	var t0, t1, t2 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	tr := &s.tr
-	if traced {
-		*tr = Trace{
-			ID: j.tc.ID, Sent: j.tc.Sent, Start: j.t0,
-			Victim: int64(rec.Victim), Source: -1, Shard: int32(si),
-			Wire: SpanMissing, Forward: SpanMissing, Ingest: SpanMissing,
-			Identify: SpanMissing, Detect: SpanMissing, Block: SpanMissing,
-		}
-		if j.tc.Routed > 0 {
-			// The record crossed a cluster forward hop: Wire ends at the
-			// origin's route decision, Forward covers route → forward
-			// queue → wire → this node's Submit entry.
-			if j.tc.Sent > 0 {
-				tr.Wire = j.tc.Routed - j.tc.Sent
-			}
-			if j.t0 > 0 {
-				tr.Forward = j.t0 - j.tc.Routed
-			}
-			tr.Origin = j.tc.Origin
-		} else if j.tc.Sent > 0 && j.t0 > 0 {
-			tr.Wire = j.t0 - j.tc.Sent
-		}
-		if j.t0 > 0 {
-			// Submit entry → worker dequeue: validation plus queue wait.
-			tr.Ingest = t0.UnixNano() - j.t0
-		}
-	}
-	st := s.victims[rec.Victim]
-	if st == nil {
-		if p.schemeErr != nil {
-			// Unbuildable scheme for this fabric, cached at New: count and
-			// return rather than wedging the worker.
-			p.C.SchemeUnbuildable.Add(1)
-			if traced {
-				tr.Outcome = OutcomeUndecodable
-				p.commitTrace(tr)
-			}
-			return
-		}
-		if s.cm != nil {
-			// Traced records clear the same admission gate as the fast
-			// path (any replay it triggers runs grouped, untraced).
-			var fc fastCtx
-			st = p.gateRecord(s, rec.Victim, rec, &fc)
-			fc.flush(p, s)
-			if st == nil {
-				if timed {
-					d := time.Since(t0)
-					if sampled {
-						p.lat[stageIdentify].observe(uint64(si), d)
-					}
-					if traced {
-						tr.Identify = d.Nanoseconds()
-						tr.Outcome = OutcomeSuppressed
-						p.commitTrace(tr)
-					}
-				}
-				return
-			}
-			// This record crossed the threshold; it continues on the
-			// exact path like any other.
-		} else {
-			st = p.materialize(s, rec.Victim)
-		}
-	}
-
-	src, ok := st.ident.ObserveMF(rec.MF)
-	if !ok {
-		p.C.Undecodable.Add(1)
-	} else {
-		p.C.Identified.Add(1)
-		s.pendIdentified++
-		if traced {
-			tr.Source = int64(src)
-		}
-	}
-	if timed {
-		t1 = time.Now()
-		if sampled {
-			p.lat[stageIdentify].observe(uint64(si), t1.Sub(t0))
-		}
-		if traced {
-			tr.Identify = t1.Sub(t0).Nanoseconds()
-		}
-	}
-
-	now := p.cfg.Now()
-	st.lastSeen.Store(now)
-	if ok && p.bl.BlockedAt(src, now) {
-		// Already-blocked traffic is dropped before the victim's
-		// detectors — exactly what the in-fabric filter would do.
-		p.C.BlockedHits.Add(1)
-		if timed {
-			d := time.Since(t1)
-			if sampled {
-				p.lat[stageBlock].observe(uint64(si), d)
-			}
-			if traced {
-				tr.Block = d.Nanoseconds()
-				tr.Outcome = OutcomeBlockedHit
-				p.commitTrace(tr)
-			}
-		}
-		return
-	}
-
-	st.scratch.Hdr.Src = rec.Src
-	st.scratch.Hdr.Proto = rec.Proto
-	st.cusum.Observe(rec.T, &st.scratch)
-	st.entropy.Observe(rec.T, &st.scratch)
-	alarmedNow := false
-	if !st.alarmed.Load() && (st.cusum.Alarmed() || st.entropy.Alarmed()) {
-		st.alarmed.Store(true)
-		p.C.Alarms.Add(1)
-		alarmedNow = true
-		p.journalAlarm(now, rec.Victim, st)
-	}
-	if timed {
-		t2 = time.Now()
-		if sampled {
-			p.lat[stageDetect].observe(uint64(si), t2.Sub(t1))
-		}
-		if traced {
-			tr.Detect = t2.Sub(t1).Nanoseconds()
-		}
-	}
-	blockedNow := false
-	if st.alarmed.Load() && ok {
-		if cnt := st.ident.Count(src); cnt > p.cfg.BlockThreshold {
-			until := filter.Permanent
-			if p.cfg.BlockTTL > 0 {
-				until = now + p.cfg.BlockTTL.Nanoseconds()
-			}
-			p.bl.BlockUntilFor(src, until, rec.Victim)
-			p.C.Blocks.Add(1)
-			blockedNow = true
-			p.journalBlock(now, rec.Victim, src, cnt, until, st)
-			if traced && j.tc.Sent > 0 {
-				// True send-to-block latency: the exporter's original send
-				// stamp survives forwarding, so this holds across owner
-				// changes and cluster hops.
-				p.observeDetection(uint64(si), now-j.tc.Sent)
-			}
-		}
-	}
-	if timed {
-		d := time.Since(t2)
-		if sampled {
-			p.lat[stageBlock].observe(uint64(si), d)
-		}
-		if traced {
-			tr.Block = d.Nanoseconds()
-			switch {
-			case blockedNow:
-				tr.Outcome = OutcomeBlock
-			case alarmedNow:
-				tr.Outcome = OutcomeAlarm
-			case !ok:
-				tr.Outcome = OutcomeUndecodable
-			default:
-				tr.Outcome = OutcomeIdentified
-			}
-			p.commitTrace(tr)
-		}
-	}
-}
-
-// journalAlarm records a victim's first detector firing (traced path).
-func (p *Pipeline) journalAlarm(now int64, victim topology.NodeID, st *victimState) {
-	p.journalAlarmDetail(now, victim, st.cusum.Alarmed(), st.entropy.Alarmed())
-}
-
-// journalAlarmDetail is journalAlarm from captured alarm states — the
-// batch path reads the detectors while it holds their locks and emits
-// after release.
-func (p *Pipeline) journalAlarmDetail(now int64, victim topology.NodeID, cuAlarmed, enAlarmed bool) {
+// journalAlarm records a victim's first detector firing, from the alarm
+// states the detect pass captured while it held the detector locks.
+func (p *Pipeline) journalAlarm(now int64, victim topology.NodeID, cuAlarmed, enAlarmed bool) {
 	if p.cfg.Journal == nil {
 		return
 	}
@@ -1278,21 +1206,10 @@ func (p *Pipeline) journalAlarmDetail(now int64, victim topology.NodeID, cuAlarm
 	})
 }
 
-// journalBlock records an auto-block with the victim's top-k
-// identified sources at block time as evidence (traced path — takes
-// the identifier lock itself).
-func (p *Pipeline) journalBlock(now int64, victim, src topology.NodeID, cnt, until int64, st *victimState) {
-	if p.cfg.Journal == nil {
-		return
-	}
-	p.journalBlockInner(now, victim, src, cnt, until, st.ident.Lock())
-	st.ident.Unlock()
-}
-
-// journalBlockInner is journalBlock against an already-locked inner
-// identifier — the batch path calls it from inside its block pass,
-// where re-locking the sync wrapper would deadlock.
-func (p *Pipeline) journalBlockInner(now int64, victim, src topology.NodeID, cnt, until int64, id *traceback.DDPMIdentifier) {
+// journalBlock records an auto-block with the victim's top-k identified
+// sources at block time as evidence. id is the victim's inner
+// identifier, already locked by the block pass.
+func (p *Pipeline) journalBlock(now int64, victim, src topology.NodeID, cnt, until int64, id *traceback.DDPMIdentifier) {
 	if p.cfg.Journal == nil {
 		return
 	}

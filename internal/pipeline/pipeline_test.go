@@ -71,7 +71,7 @@ func TestBackpressureDropsInsteadOfBlocking(t *testing.T) {
 		Net: net, Shards: 1, QueueLen: 4,
 		Now: func() int64 {
 			if !released.Load() {
-				<-gate // stall the worker inside process()
+				<-gate // stall the worker inside processBatch
 			}
 			return 0
 		},
@@ -80,7 +80,7 @@ func TestBackpressureDropsInsteadOfBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := wire.Record{Topo: p.TopoID(), Victim: 3}
-	// One record enters process() and stalls on the clock; QueueLen
+	// One record enters processBatch and stalls on the clock; QueueLen
 	// more fill the queue. Wait until the worker has picked one up.
 	p.Submit(rec)
 	deadline := time.Now().Add(5 * time.Second)
@@ -245,7 +245,7 @@ func TestUndecodableRecordsAreCountedNotFatal(t *testing.T) {
 
 // waitProcessed blocks until every ingested-and-queued record has been
 // consumed (queues empty is not enough: the last record may still be
-// in process()).
+// in processBatch).
 func waitProcessed(t *testing.T, p *Pipeline) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

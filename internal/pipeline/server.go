@@ -556,13 +556,17 @@ func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte
 		d.decodeErrs.Add(1)
 		return
 	}
-	// Echo back the extensions this server honors: the trace flag, plus
-	// the forward flag when a cluster tier is running. A client whose
-	// trace flag is not echoed falls back to plain sealed frames; a
-	// forwarding client with an unechoed flag fails the connection
-	// (forwarded records must never be silently flattened into plain
-	// ingest on a non-cluster daemon — they would be re-routed and loop).
-	flagMask := uint32(wire.HelloFlagTrace)
+	// Echo back the extensions this server honors: the trace flag when
+	// the flight recorder is on, plus the forward flag when a cluster
+	// tier is running. A client whose trace flag is not echoed falls
+	// back to plain sealed frames (DESIGN.md §10.1); a forwarding client
+	// with an unechoed flag fails the connection (forwarded records must
+	// never be silently flattened into plain ingest on a non-cluster
+	// daemon — they would be re-routed and loop).
+	var flagMask uint32
+	if d.p.Recorder() != nil {
+		flagMask = wire.HelloFlagTrace
+	}
 	if d.cluster != nil {
 		flagMask |= wire.HelloFlagForward
 	}

@@ -315,3 +315,81 @@ func TestShutdownFlushesJournal(t *testing.T) {
 		t.Error("emit after daemon shutdown reported success")
 	}
 }
+
+// laneProbe is a pass-through cluster tier that reports, per routed
+// slab, whether it reached the daemon's ingest with a trace lane.
+type laneProbe struct {
+	p             *Pipeline
+	traced, plain atomic.Uint64
+}
+
+func (l *laneProbe) Route(s *wire.Slab) int {
+	if s.Ctxs != nil {
+		l.traced.Add(uint64(s.Len()))
+	} else {
+		l.plain.Add(uint64(s.Len()))
+	}
+	return l.p.SubmitSlab(s)
+}
+func (l *laneProbe) NoteForwardedIn(uint64, int)           {}
+func (l *laneProbe) HandleGossip([]byte) ([]byte, error)   { return nil, nil }
+func (l *laneProbe) HandleHandback([]byte) (uint64, error) { return 0, nil }
+func (l *laneProbe) StatusJSON() any                       { return nil }
+func (l *laneProbe) WriteMetrics(io.Writer)                {}
+func (l *laneProbe) Close()                                {}
+
+// TestTraceFlagEchoFollowsRecorder pins DESIGN.md §10.1: a daemon
+// echoes the hello's trace flag only while its flight recorder is on.
+// With TraceBuffer -1 a traced exporter downgrades (OnTraceDowngrade
+// fires) and its records arrive without a trace lane; with the
+// recorder on they keep it.
+func TestTraceFlagEchoFollowsRecorder(t *testing.T) {
+	topo := topology.NewMesh2D(4)
+	for _, tc := range []struct {
+		traceBuffer int
+		downgrade   bool
+	}{{-1, true}, {0, false}} {
+		probe := &laneProbe{}
+		d, err := Start(ServerConfig{
+			Pipeline: Config{Net: topo, Shards: 1, TraceBuffer: tc.traceBuffer},
+			TCPAddr:  "127.0.0.1:0",
+			NewCluster: func(p *Pipeline) (ClusterNode, error) {
+				probe.p = p
+				return probe, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		downgrades := 0
+		c, err := wire.NewClient(wire.ClientConfig{
+			Addr: d.TCPAddr().String(), MaxAttempts: 3, Trace: true,
+			OnTraceDowngrade: func() { downgrades++ },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := make([]wire.Record, 10)
+		for i := range recs {
+			recs[i] = wire.Record{T: 1, Topo: d.Pipeline().TopoID(), Victim: 5}
+		}
+		if err := c.Send(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d.Shutdown(context.Background())
+		if got := downgrades > 0; got != tc.downgrade {
+			t.Errorf("TraceBuffer %d: downgrade fired %d times, want downgrade=%v", tc.traceBuffer, downgrades, tc.downgrade)
+		}
+		wantTraced, wantPlain := uint64(len(recs)), uint64(0)
+		if tc.downgrade {
+			wantTraced, wantPlain = 0, uint64(len(recs))
+		}
+		if probe.traced.Load() != wantTraced || probe.plain.Load() != wantPlain {
+			t.Errorf("TraceBuffer %d: %d records arrived with a trace lane, %d without; want %d and %d",
+				tc.traceBuffer, probe.traced.Load(), probe.plain.Load(), wantTraced, wantPlain)
+		}
+	}
+}

@@ -168,13 +168,15 @@ func TestSIGQUITDumpAndTracesUnderConcurrentIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				p.SubmitTraced(wire.TracedRecord{
+				s := p.GetSlab()
+				s.AppendTraced(wire.TracedRecord{
 					Record: wire.Record{Topo: p.TopoID(), Victim: 5, MF: mf},
 					Ctx: wire.TraceContext{
 						ID:   wire.SplitMix64(uint64(w*perWriter + i + 1)),
 						Sent: time.Now().UnixNano(),
 					},
 				})
+				p.SubmitSlab(s)
 			}
 		}(w)
 	}

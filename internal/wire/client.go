@@ -107,7 +107,9 @@ type ClientConfig struct {
 	Trace bool
 
 	// NowNano supplies trace send timestamps; defaults to
-	// time.Now().UnixNano(). Tests inject a fake clock.
+	// time.Now().UnixNano(). Read once per Send call: every record that
+	// call offers carries the same send stamp. Tests inject a fake
+	// clock.
 	NowNano func() int64
 
 	// ForwardOrigin, when non-zero, makes this a cluster forwarding
@@ -233,6 +235,10 @@ func (c *Client) Send(recs []Record) error {
 	if c.closed {
 		return ErrClientClosed
 	}
+	var sent int64
+	if c.stamping() && len(recs) > 0 {
+		sent = c.cfg.NowNano()
+	}
 	for len(recs) > 0 {
 		free := c.cfg.BufferRecords - len(c.buf)
 		if free == 0 {
@@ -252,7 +258,7 @@ func (c *Client) Send(recs []Record) error {
 		n := min(free, len(recs))
 		c.sent += uint64(n)
 		for _, r := range recs[:n] {
-			c.buf = append(c.buf, TracedRecord{Record: r, Ctx: c.stamp()})
+			c.buf = append(c.buf, TracedRecord{Record: r, Ctx: c.stamp(sent)})
 		}
 		recs = recs[n:]
 		if len(c.buf) >= c.cfg.MaxBatch {
@@ -297,20 +303,20 @@ func (c *Client) SendTraced(trs []TracedRecord) error {
 	return nil
 }
 
-// stamp mints the next trace context, or a zero one when tracing is
-// off. Forwarding clients never stamp: their contexts were minted by
-// the original exporter and arrive through SendTraced — a record
-// forwarded through Send rides the hop untraced rather than acquiring
-// a second identity.
-func (c *Client) stamp() TraceContext {
-	if !c.cfg.Trace || c.cfg.ForwardOrigin != 0 {
+// stamping reports whether Send mints trace contexts. Forwarding
+// clients never stamp: their contexts were minted by the original
+// exporter and arrive through SendTraced — a record forwarded through
+// Send rides the hop untraced rather than acquiring a second identity.
+func (c *Client) stamping() bool { return c.cfg.Trace && c.cfg.ForwardOrigin == 0 }
+
+// stamp mints the next trace context with send stamp sent, or a zero
+// one when the client does not stamp.
+func (c *Client) stamp(sent int64) TraceContext {
+	if !c.stamping() {
 		return TraceContext{}
 	}
 	c.traceSeq++
-	return TraceContext{
-		ID:   SplitMix64(c.streamID ^ c.traceSeq),
-		Sent: c.cfg.NowNano(),
-	}
+	return TraceContext{ID: SplitMix64(c.streamID ^ c.traceSeq), Sent: sent}
 }
 
 // TraceIDAt reports the trace id Send stamped on the n-th record

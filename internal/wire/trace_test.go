@@ -370,3 +370,55 @@ func TestClientTraceNegotiation(t *testing.T) {
 		}
 	}
 }
+
+// TestClientStampsOneClockReadPerSend pins the exporter's clock budget:
+// Send reads NowNano once per call and stamps every record it offers
+// with that reading, while trace ids keep the per-record SplitMix64
+// sequence TraceIDAt reports.
+func TestClientStampsOneClockReadPerSend(t *testing.T) {
+	s := startTraceServer(t, true)
+	reads := 0
+	c, err := NewClient(ClientConfig{
+		Addr: s.ln.Addr().String(), Seed: 7,
+		MaxAttempts: 3, Trace: true,
+		NowNano: func() int64 { reads++; return int64(1000 * reads) },
+	})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	sizes := []int{5, 1, 300}
+	var wantSent []int64
+	for call, n := range sizes {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record{T: 1, MF: uint16(i)}
+		}
+		if err := c.Send(recs); err != nil {
+			t.Fatal(err)
+		}
+		if reads != call+1 {
+			t.Fatalf("after %d Send calls the clock was read %d times", call+1, reads)
+		}
+		for range recs {
+			wantSent = append(wantSent, int64(1000*(call+1)))
+		}
+	}
+	if err := c.Send(nil); err != nil || reads != len(sizes) {
+		t.Fatalf("empty Send: err %v, clock reads %d, want %d", err, reads, len(sizes))
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	got, _ := s.snapshot()
+	if len(got) != len(wantSent) {
+		t.Fatalf("delivered %d records, want %d", len(got), len(wantSent))
+	}
+	for i, tr := range got {
+		if want := c.TraceIDAt(uint64(i)); tr.Ctx.ID != want {
+			t.Fatalf("record %d: trace id %#x, want %#x", i, tr.Ctx.ID, want)
+		}
+		if tr.Ctx.Sent != wantSent[i] {
+			t.Fatalf("record %d: sent %d, want %d", i, tr.Ctx.Sent, wantSent[i])
+		}
+	}
+}
