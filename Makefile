@@ -116,13 +116,16 @@ bench-profile:
 		-benchtime 50x -benchmem -cpuprofile cpu.prof -memprofile mem.prof \
 		-o benchjson.test
 
-## fuzz-smoke: short fuzzing passes over the wire codec and DDPM marking
+## fuzz-smoke: short fuzzing passes over the wire codec (the stream
+## readers and the record decoder under every record frame type) and
+## DDPM marking
 ## (go test allows one -fuzz target per invocation)
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzRecordRoundTrip -fuzztime 5s
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzReader -fuzztime 5s
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzResyncReader -fuzztime 5s
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzTraceContext -fuzztime 5s
+	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzRecordPayload -fuzztime 5s
 	$(GO) test ./internal/marking/ -run xxx -fuzz FuzzDDPMMarkIdentify -fuzztime 5s
 
 ## trace-smoke: end-to-end tracing proof on a live daemon — a traced

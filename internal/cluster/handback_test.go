@@ -207,16 +207,20 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 		s.Append(wire.Record{Victim: victim, MF: uint16(i), Topo: p.TopoID()})
 	}
 	p.SubmitSlab(s)
+	// Wait on the victim's own tallies, not on Processed: workers count
+	// a batch as processed when they start it, before the victim state
+	// exists, so ExportVictim could still miss or see it partial.
 	deadline := time.Now().Add(5 * time.Second)
-	for p.C.Processed.Load() < 10 {
+	want, ok := p.ExportVictim(victim)
+	for !ok || want.Identified()+want.Undecodable < 10 {
 		if time.Now().After(deadline) {
+			if !ok {
+				t.Fatal("no exact state before the ring change")
+			}
 			t.Fatal("records never processed")
 		}
 		time.Sleep(time.Millisecond)
-	}
-	want, ok := p.ExportVictim(victim)
-	if !ok {
-		t.Fatal("no exact state before the ring change")
+		want, ok = p.ExportVictim(victim)
 	}
 
 	// The joiner appears; the sweep rebuilds the ring and must detach

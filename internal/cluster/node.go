@@ -94,13 +94,10 @@ func (c *Config) applyDefaults() error {
 	if c.ForwardBatch <= 0 {
 		c.ForwardBatch = 512
 	}
-	if c.ForwardBatch > wire.MaxRecordsPerForwarded {
-		return fmt.Errorf("cluster: ForwardBatch %d exceeds the %d records one forwarded frame can carry",
-			c.ForwardBatch, wire.MaxRecordsPerForwarded)
-	}
-	if c.ForwardBatch > wire.MaxTracedPerForwarded {
+	// The traced layout is the narrower one, so it bounds both.
+	if max := wire.MaxRecords(wire.TypeTracedForwarded); c.ForwardBatch > max {
 		return fmt.Errorf("cluster: ForwardBatch %d exceeds the %d records one traced forwarded frame can carry",
-			c.ForwardBatch, wire.MaxTracedPerForwarded)
+			c.ForwardBatch, max)
 	}
 	if c.MaxReplicasPerMsg <= 0 {
 		c.MaxReplicasPerMsg = 8

@@ -95,8 +95,11 @@ func (p *Pipeline) ExportVictim(v topology.NodeID) (snap VictimSnapshot, ok bool
 // snapshotState copies one victim's replicable state. The caller must
 // not hold the identifier lock.
 func snapshotState(v topology.NodeID, st *victimState) VictimSnapshot {
-	snap := VictimSnapshot{Victim: v, Alarmed: st.alarmed.Load()}
+	snap := VictimSnapshot{Victim: v}
 	id := st.ident.Lock()
+	// Read the latch under the identifier lock, where applySeed sets
+	// it, so a snapshot holding a seed's tallies also holds its alarm.
+	snap.Alarmed = st.alarmed.Load()
 	snap.Undecodable = id.Undecodable()
 	id.EachSource(func(src topology.NodeID, count int64) {
 		snap.Sources = append(snap.Sources, SourceCount{Node: int64(src), Count: count})
@@ -180,10 +183,10 @@ func (p *Pipeline) applySeed(s *shard, snap *VictimSnapshot) {
 		id.AddTally(topology.NodeID(sc.Node), sc.Count)
 	}
 	id.AddUndecodable(snap.Undecodable)
-	st.ident.Unlock()
 	if snap.Alarmed {
 		// Inherit the latch without counting a fresh alarm: the dead
 		// owner already counted (and journaled) this attack.
 		st.alarmed.Store(true)
 	}
+	st.ident.Unlock()
 }

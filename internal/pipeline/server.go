@@ -487,28 +487,17 @@ func (d *Daemon) servePlain(conn net.Conn, r *wire.Reader, ftype uint8, payload 
 	r.EnableResync()
 	var lastResyncs, lastSkipped uint64
 	for {
-		var s *wire.Slab
-		var derr error
-		switch ftype {
-		case wire.TypeRecords:
-			s = d.p.GetSlab()
-			derr = s.AppendRecordsPayload(payload)
-		case wire.TypeTracedRecords:
-			s = d.p.GetSlab()
-			derr = s.AppendTracedPayload(payload)
-		case wire.TypeSealed:
+		switch l, ok := wire.FrameLayout(ftype); {
+		case !ok:
+			// Hello handled by the dispatcher; stray acks are noise.
+		case l.Origin:
+			// Forwarded frames belong on an acked cluster session.
+			d.decodeErrs.Add(1)
+		default:
 			// Sealed frames outside a session still carry records; the
 			// CRC makes them safe to tally without acks.
-			s = d.p.GetSlab()
-			_, derr = s.AppendSealedPayload(payload)
-		case wire.TypeTracedSealed:
-			s = d.p.GetSlab()
-			_, derr = s.AppendTracedSealedPayload(payload)
-		default:
-			// Hello handled by the dispatcher; stray acks are noise.
-		}
-		if s != nil {
-			if derr != nil {
+			s := d.p.GetSlab()
+			if _, _, err := s.AppendPayload(ftype, payload); err != nil {
 				d.decodeErrs.Add(1)
 				s.Release()
 			} else {
@@ -576,42 +565,6 @@ func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte
 	if !d.ackHello(conn, sess, base, &scratch, ackFlags) {
 		return
 	}
-	// submitSlab dedups one sealed batch against the session count and
-	// feeds the unseen suffix to the pipeline as a single slab; shared
-	// by the plain, traced and forwarded sealed paths. Consumes the slab
-	// reference. The session count advances by the full batch regardless
-	// of what the pipeline sheds downstream — delivery is what the ack
-	// attests. direct bypasses cluster routing: forwarded-in records are
-	// always processed locally (the sender already resolved ownership),
-	// which is what makes forwarding loop-free.
-	submitSlab := func(seq uint64, s *wire.Slab, direct bool) (count, fresh uint64, ok bool) {
-		sess.mu.Lock()
-		if seq > sess.count {
-			sess.mu.Unlock()
-			s.Release()
-			d.decodeErrs.Add(1)
-			// Gap before the accepted count: protocol violation.
-			d.journalStream(EventSessionLoss, streamID, "sequence gap")
-			return 0, 0, false
-		}
-		n := uint64(s.Len())
-		if skip := sess.count - seq; skip < n {
-			s.DropFront(int(skip))
-			fresh = n - skip
-			d.sessionRecs.Add(fresh)
-			sess.count = seq + n
-			if direct {
-				d.p.SubmitSlab(s)
-			} else {
-				d.submit(s)
-			}
-		} else {
-			s.Release() // entire batch already accepted: pure retransmit
-		}
-		c := sess.count
-		sess.mu.Unlock()
-		return c, fresh, true
-	}
 	for {
 		d.armDeadline(conn)
 		ftype, payload, err := r.ReadFrame()
@@ -619,79 +572,9 @@ func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte
 			d.noteReadErr(err)
 			return
 		}
-		switch ftype {
-		case wire.TypeSealed:
-			s := d.p.GetSlab()
-			seq, err := s.AppendSealedPayload(payload)
-			if err != nil {
-				s.Release()
-				d.decodeErrs.Add(1)
-				// Strict: the client resends from the acked count.
-				d.journalStream(EventSessionLoss, streamID, "sealed frame rejected")
-				return
-			}
-			c, _, ok := submitSlab(seq, s, false)
-			if !ok || !d.writeAck(conn, &scratch, c, ackFlags) {
-				return
-			}
-		case wire.TypeTracedSealed:
-			s := d.p.GetSlab()
-			seq, err := s.AppendTracedSealedPayload(payload)
-			if err != nil {
-				s.Release()
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "traced sealed frame rejected")
-				return
-			}
-			c, _, ok := submitSlab(seq, s, false)
-			if !ok || !d.writeAck(conn, &scratch, c, ackFlags) {
-				return
-			}
-		case wire.TypeForwarded:
-			if d.cluster == nil {
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "forwarded frame without cluster tier")
-				return
-			}
-			s := d.p.GetSlab()
-			origin, seq, err := s.AppendForwardedPayload(payload)
-			if err != nil {
-				s.Release()
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "forwarded frame rejected")
-				return
-			}
-			c, fresh, ok := submitSlab(seq, s, true)
-			if !ok {
-				return
-			}
-			d.cluster.NoteForwardedIn(origin, int(fresh))
-			if !d.writeAck(conn, &scratch, c, ackFlags) {
-				return
-			}
-		case wire.TypeTracedForwarded:
-			if d.cluster == nil {
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "forwarded frame without cluster tier")
-				return
-			}
-			s := d.p.GetSlab()
-			origin, seq, err := s.AppendTracedForwardedPayload(payload)
-			if err != nil {
-				s.Release()
-				d.decodeErrs.Add(1)
-				d.journalStream(EventSessionLoss, streamID, "traced forwarded frame rejected")
-				return
-			}
-			c, fresh, ok := submitSlab(seq, s, true)
-			if !ok {
-				return
-			}
-			d.cluster.NoteForwardedIn(origin, int(fresh))
-			if !d.writeAck(conn, &scratch, c, ackFlags) {
-				return
-			}
-		case wire.TypeHello:
+		l, ok := wire.FrameLayout(ftype)
+		switch {
+		case ftype == wire.TypeHello:
 			// A re-hello on a live conn re-synchronizes the client.
 			_, b, f, err := wire.ParseHelloFlags(payload)
 			if err != nil {
@@ -703,10 +586,62 @@ func (d *Daemon) serveSession(conn net.Conn, r *wire.Reader, helloPayload []byte
 			if !d.ackHello(conn, sess, b, &scratch, ackFlags) {
 				return
 			}
-		default:
+			continue
+		case !ok || !l.Sealed:
 			d.decodeErrs.Add(1)
 			// Plain frames on a session conn: protocol violation.
 			d.journalStream(EventSessionLoss, streamID, "non-session frame")
+			return
+		case l.Origin && d.cluster == nil:
+			d.decodeErrs.Add(1)
+			d.journalStream(EventSessionLoss, streamID, "forwarded frame without cluster tier")
+			return
+		}
+		s := d.p.GetSlab()
+		origin, seq, err := s.AppendPayload(ftype, payload)
+		if err != nil {
+			s.Release()
+			d.decodeErrs.Add(1)
+			// Strict: the client resends from the acked count.
+			d.journalStream(EventSessionLoss, streamID, l.String()+" frame rejected")
+			return
+		}
+		// Dedup the batch against the session count and feed the unseen
+		// suffix to the pipeline as one slab. The count advances by the
+		// full batch regardless of what the pipeline sheds downstream —
+		// delivery is what the ack attests.
+		sess.mu.Lock()
+		if seq > sess.count {
+			sess.mu.Unlock()
+			s.Release()
+			d.decodeErrs.Add(1)
+			// Gap before the accepted count: protocol violation.
+			d.journalStream(EventSessionLoss, streamID, "sequence gap")
+			return
+		}
+		n, fresh := uint64(s.Len()), uint64(0)
+		if skip := sess.count - seq; skip < n {
+			s.DropFront(int(skip))
+			fresh = n - skip
+			d.sessionRecs.Add(fresh)
+			sess.count = seq + n
+			if l.Origin {
+				// Forwarded-in records are always processed locally (the
+				// sender already resolved ownership), which is what makes
+				// forwarding loop-free.
+				d.p.SubmitSlab(s)
+			} else {
+				d.submit(s)
+			}
+		} else {
+			s.Release() // entire batch already accepted: pure retransmit
+		}
+		c := sess.count
+		sess.mu.Unlock()
+		if l.Origin {
+			d.cluster.NoteForwardedIn(origin, int(fresh))
+		}
+		if !d.writeAck(conn, &scratch, c, ackFlags) {
 			return
 		}
 	}

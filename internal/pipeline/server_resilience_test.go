@@ -72,6 +72,41 @@ func TestPlainStreamSurvivesMidStreamCorruption(t *testing.T) {
 	}
 }
 
+// TestPlainStreamCountsForwardedFrames is the regression test for
+// forwarded frames vanishing on a plain stream: a connection that opens
+// with a forwarded frame is served as a plain stream, where forwarded
+// frames have no session to be deduplicated against. Each one must be
+// counted as a decode error and its records not ingested, while the
+// plain frames after it still are.
+func TestPlainStreamCountsForwardedFrames(t *testing.T) {
+	d := startDaemon(t, ServerConfig{TCPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0"})
+	conn, err := net.Dial("tcp", d.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	recs := daemonRecords(d, 6)
+	fwd := make([]wire.TracedRecord, 4)
+	for i := range fwd {
+		fwd[i] = wire.TracedRecord{Record: recs[i], Ctx: wire.TraceContext{ID: uint64(i + 1), Routed: 1}}
+	}
+	var b []byte
+	b = wire.AppendRecordFrame(b, wire.TypeForwarded, 0xABCD, 0, fwd)
+	b = wire.AppendRecordFrame(b, wire.TypeTracedForwarded, 0xABCD, 4, fwd)
+	b = wire.AppendFrame(b, recs[4:])
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	waitIngested(t, d, 2)
+	if got := d.DecodeErrors(); got != 2 {
+		t.Errorf("decode errors = %d, want 2 (one per forwarded frame)", got)
+	}
+	if got := d.Pipeline().C.Ingested.Load(); got != 2 {
+		t.Errorf("ingested %d records, want only the 2 plain ones", got)
+	}
+}
+
 // TestSessionIngestDeduplicatesRetransmits drives the session protocol
 // by hand: a retransmitted sealed frame (the client's view after a lost
 // ack) must advance nothing, and the ack must repeat the count.

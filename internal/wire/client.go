@@ -40,7 +40,6 @@ type Client struct {
 	backoff int            // consecutive failed connection attempts
 
 	scratch []byte
-	plain   []Record // reused downgrade scratch for untraced sealed frames
 
 	traceSeq uint64 // trace-id counter (stamping enabled by cfg.Trace)
 	traceOK  bool   // server echoed HelloFlagTrace on this connection
@@ -180,23 +179,10 @@ var ErrClientClosed = errors.New("wire: client closed")
 // for a throughput target, and shipping smaller frames than asked for
 // should be a loud configuration error, not a quiet downgrade.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.MaxBatch > MaxRecordsPerSealed {
-		return nil, fmt.Errorf("wire: MaxBatch %d exceeds the %d records one sealed frame can carry",
-			cfg.MaxBatch, MaxRecordsPerSealed)
-	}
-	if cfg.Trace && cfg.MaxBatch > MaxTracedPerSealed {
-		return nil, fmt.Errorf("wire: traced MaxBatch %d exceeds the %d traced records one sealed frame can carry",
-			cfg.MaxBatch, MaxTracedPerSealed)
-	}
-	if cfg.ForwardOrigin != 0 {
-		if cfg.MaxBatch > MaxRecordsPerForwarded {
-			return nil, fmt.Errorf("wire: forwarding MaxBatch %d exceeds the %d records one forwarded frame can carry",
-				cfg.MaxBatch, MaxRecordsPerForwarded)
-		}
-		if cfg.Trace && cfg.MaxBatch > MaxTracedPerForwarded {
-			return nil, fmt.Errorf("wire: traced forwarding MaxBatch %d exceeds the %d records one traced forwarded frame can carry",
-				cfg.MaxBatch, MaxTracedPerForwarded)
-		}
+	// The traced layout is the narrower one, so it bounds both.
+	if ftype := sealedType(cfg.ForwardOrigin != 0, cfg.Trace); cfg.MaxBatch > MaxRecords(ftype) {
+		return nil, fmt.Errorf("wire: MaxBatch %d exceeds the %d records one %s frame can carry",
+			cfg.MaxBatch, MaxRecords(ftype), layouts[ftype])
 	}
 	cfg.applyDefaults()
 	return &Client{
@@ -472,24 +458,9 @@ func (c *Client) shipAndAwait() error {
 		n := min(c.cfg.MaxBatch, len(c.buf)-c.next)
 		seq := c.base + uint64(c.next)
 		batch := c.buf[c.next : c.next+n]
-		switch {
-		case c.traceOK && c.cfg.ForwardOrigin != 0 && batchTraced(batch):
-			c.scratch = AppendTracedForwarded(c.scratch[:0], c.cfg.ForwardOrigin, seq, batch)
-		case c.traceOK && c.cfg.ForwardOrigin == 0:
-			c.scratch = AppendTracedSealed(c.scratch[:0], seq, batch)
-		case c.cfg.ForwardOrigin != 0:
-			c.plain = c.plain[:0]
-			for _, tr := range batch {
-				c.plain = append(c.plain, tr.Record)
-			}
-			c.scratch = AppendForwarded(c.scratch[:0], c.cfg.ForwardOrigin, seq, c.plain)
-		default:
-			c.plain = c.plain[:0]
-			for _, tr := range batch {
-				c.plain = append(c.plain, tr.Record)
-			}
-			c.scratch = AppendSealed(c.scratch[:0], seq, c.plain)
-		}
+		traced := c.traceOK && (c.cfg.ForwardOrigin == 0 || batchTraced(batch))
+		c.scratch = AppendRecordFrame(c.scratch[:0], sealedType(c.cfg.ForwardOrigin != 0, traced),
+			c.cfg.ForwardOrigin, seq, batch)
 		if _, err := c.bw.Write(c.scratch); err != nil {
 			return err
 		}

@@ -69,7 +69,6 @@ func (s *sessionServer) handle(conn net.Conn) {
 	r := NewReader(conn)
 	frames := 0
 	var scratch []byte
-	var recs []Record
 	for {
 		ftype, payload, err := r.ReadFrame()
 		if err != nil {
@@ -92,11 +91,11 @@ func (s *sessionServer) handle(conn net.Conn) {
 				return
 			}
 		case TypeSealed:
-			seq, batch, err := ParseSealed(payload, recs[:0])
+			_, seq, trs, err := decodePayload(ftype, payload)
 			if err != nil {
 				return
 			}
-			recs = batch[:0]
+			batch := recordsOf(trs)
 			s.mu.Lock()
 			if seq > s.count {
 				s.mu.Unlock()

@@ -1,16 +1,11 @@
 package wire
 
-// Cluster extension: two frame types that let ddpmd instances talk to
-// each other over the same framing exporters use.
+// Cluster extension: the frames ddpmd instances exchange over the same
+// framing exporters use, beside the forwarded record frames (frame.go).
 //
-// TypeForwarded is a sealed record batch relayed by a non-owning
-// instance to the consistent-hash owner of the records' victims. It is
-// a TypeSealed with an extra leading origin-instance id, so the owner
-// can account forwarded ingest per origin and fleet counters still
-// balance (records forwarded out by A == records forwarded in from A
-// at their owners). Forwarding sessions are negotiated with
-// HelloFlagForward; a server that does not echo the flag (cluster mode
-// off) refuses the session and the forwarder backs off.
+// Forwarding sessions are negotiated with HelloFlagForward; a server
+// that does not echo the flag (cluster mode off) refuses the session
+// and the forwarder backs off.
 //
 // TypeGossip carries an opaque anti-entropy payload (blocklist deltas,
 // victim-state replicas, liveness) whose layout belongs to
@@ -23,75 +18,22 @@ import (
 )
 
 const (
-	// TypeForwarded is a sealed record batch relayed between cluster
-	// instances: origin-instance id, cumulative sequence number,
-	// records, CRC tail.
-	TypeForwarded uint8 = 7
-
 	// TypeGossip is a CRC-tailed opaque cluster anti-entropy payload.
 	// Unlike session frames it is request/response on a dedicated
 	// connection: the dialer sends one TypeGossip and reads one back.
 	TypeGossip uint8 = 8
 
-	// ForwardedOverhead is the non-record part of a TypeForwarded
-	// payload: origin(8) + seq(8) leading, crc32(4) trailing.
-	ForwardedOverhead = 20
-
 	// GossipOverhead is the crc32(4) tail sealing a gossip payload.
 	GossipOverhead = 4
 
 	// HelloFlagForward, set in an extended hello's flags word, declares
-	// the session will carry TypeForwarded frames from a peer instance.
-	// The server echoes it only when running in cluster mode.
+	// the session will carry forwarded record frames from a peer
+	// instance. The server echoes it only when running in cluster mode.
 	HelloFlagForward uint32 = 1 << 1
-
-	// MaxRecordsPerForwarded is the per-frame record capacity of a
-	// forwarded frame under the 16-bit payload length.
-	MaxRecordsPerForwarded = (MaxFramePayload - ForwardedOverhead) / RecordSize
 
 	// MaxGossipBody is the largest gossip body that fits one frame.
 	MaxGossipBody = MaxFramePayload - GossipOverhead
 )
-
-// AppendForwarded appends one forwarded session frame: the relaying
-// instance's origin id, the cumulative index of recs[0] in the forward
-// stream, and the records, CRC-sealed like AppendSealed. It panics past
-// MaxRecordsPerForwarded — splitting is the Client's job.
-func AppendForwarded(b []byte, origin, seq uint64, recs []Record) []byte {
-	if len(recs) > MaxRecordsPerForwarded {
-		panic(fmt.Sprintf("wire: %d records exceed the %d-record forwarded-frame limit", len(recs), MaxRecordsPerForwarded))
-	}
-	b = appendHeader(b, TypeForwarded, ForwardedOverhead+len(recs)*RecordSize)
-	start := len(b)
-	b = binary.BigEndian.AppendUint64(b, origin)
-	b = binary.BigEndian.AppendUint64(b, seq)
-	for _, r := range recs {
-		b = AppendRecord(b, r)
-	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-}
-
-// ParseForwarded decodes a TypeForwarded payload, appending the records
-// to recs (pass a reused slice's [:0] to avoid per-frame allocation).
-func ParseForwarded(payload []byte, recs []Record) (origin, seq uint64, out []Record, err error) {
-	if len(payload) < ForwardedOverhead || (len(payload)-ForwardedOverhead)%RecordSize != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: forwarded payload %d bytes", ErrBadFrame, len(payload))
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, 0, nil, fmt.Errorf("%w: forwarded crc mismatch", ErrBadFrame)
-	}
-	origin = binary.BigEndian.Uint64(body[0:8])
-	seq = binary.BigEndian.Uint64(body[8:16])
-	for off := 16; off < len(body); off += RecordSize {
-		r, err := DecodeRecord(body[off:])
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		recs = append(recs, r)
-	}
-	return origin, seq, recs, nil
-}
 
 // AppendGossip appends one TypeGossip frame sealing body with a CRC
 // tail. It panics past MaxGossipBody — gossip senders cap their

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -28,7 +30,7 @@ func fwdTestRecords(n int) []Record {
 
 func TestForwardedRoundTrip(t *testing.T) {
 	recs := fwdTestRecords(5)
-	b := AppendForwarded(nil, 0xFEEDFACE, 42, recs)
+	b := AppendRecordFrame(nil, TypeForwarded, 0xFEEDFACE, 42, untraced(recs))
 
 	ftype, n, err := checkHeader(b)
 	if err != nil {
@@ -37,9 +39,9 @@ func TestForwardedRoundTrip(t *testing.T) {
 	if ftype != TypeForwarded {
 		t.Fatalf("frame type = %d, want %d", ftype, TypeForwarded)
 	}
-	origin, seq, out, err := ParseForwarded(b[HeaderSize:HeaderSize+n], nil)
+	origin, seq, out, err := decodePayload(ftype, b[HeaderSize:HeaderSize+n])
 	if err != nil {
-		t.Fatalf("ParseForwarded: %v", err)
+		t.Fatalf("decode forwarded: %v", err)
 	}
 	if origin != 0xFEEDFACE || seq != 42 {
 		t.Fatalf("origin/seq = %#x/%d, want 0xfeedface/42", origin, seq)
@@ -48,30 +50,30 @@ func TestForwardedRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d records, want %d", len(out), len(recs))
 	}
 	for i := range recs {
-		if out[i] != recs[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, out[i], recs[i])
+		if out[i].Record != recs[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, out[i].Record, recs[i])
 		}
 	}
 }
 
 func TestForwardedCorruptionDetected(t *testing.T) {
-	b := AppendForwarded(nil, 1, 0, fwdTestRecords(3))
+	b := AppendRecordFrame(nil, TypeForwarded, 1, 0, untraced(fwdTestRecords(3)))
 	b[HeaderSize+20] ^= 0xFF
-	if _, _, _, err := ParseForwarded(b[HeaderSize:], nil); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := decodePayload(TypeForwarded, b[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupted forwarded frame parsed: err = %v", err)
 	}
 }
 
 func TestForwardedSlabDecode(t *testing.T) {
 	recs := fwdTestRecords(9)
-	b := AppendForwarded(nil, 77, 13, recs)
+	b := AppendRecordFrame(nil, TypeForwarded, 77, 13, untraced(recs))
 
 	pool := NewSlabPool(1)
 	s := pool.Get()
 	defer s.Release()
-	origin, seq, err := s.AppendForwardedPayload(b[HeaderSize:])
+	origin, seq, err := s.AppendPayload(TypeForwarded, b[HeaderSize:])
 	if err != nil {
-		t.Fatalf("AppendForwardedPayload: %v", err)
+		t.Fatalf("AppendPayload: %v", err)
 	}
 	if origin != 77 || seq != 13 {
 		t.Fatalf("origin/seq = %d/%d, want 77/13", origin, seq)
@@ -83,15 +85,17 @@ func TestForwardedSlabDecode(t *testing.T) {
 
 func TestForwardedReaderUnwraps(t *testing.T) {
 	recs := fwdTestRecords(4)
-	b := AppendForwarded(nil, 5, 0, recs)
-	r := NewReader(bytes.NewReader(b))
-	for i := range recs {
-		got, err := r.Next()
-		if err != nil {
-			t.Fatalf("Next %d: %v", i, err)
-		}
-		if got != recs[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got, recs[i])
+	b := AppendRecordFrame(nil, TypeForwarded, 5, 0, untraced(recs))
+	trs, err := readRecords(NewReader(bytes.NewReader(b)), math.MaxInt)
+	if err != io.EOF {
+		t.Fatalf("want EOF, got %v", err)
+	}
+	if len(trs) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(trs), len(recs))
+	}
+	for i, tr := range trs {
+		if tr.Record != recs[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, tr.Record, recs[i])
 		}
 	}
 }
@@ -175,14 +179,14 @@ func TestForwardClientNegotiation(t *testing.T) {
 					}
 					conn.Write(AppendAckFlags(nil, accepted, ack))
 				case TypeForwarded:
-					origin, _, recs, err := ParseForwarded(payload, nil)
+					origin, _, trs, err := decodePayload(ftype, payload)
 					if err != nil {
 						ch <- res
 						return
 					}
 					res.origins = append(res.origins, origin)
-					res.recs = append(res.recs, recs...)
-					accepted += uint64(len(recs))
+					res.recs = append(res.recs, recordsOf(trs)...)
+					accepted += uint64(len(trs))
 					conn.Write(AppendAck(nil, accepted))
 				}
 			}
@@ -256,7 +260,7 @@ func fwdTestTraced(n int) []TracedRecord {
 
 func TestTracedForwardedRoundTrip(t *testing.T) {
 	trs := fwdTestTraced(5)
-	b := AppendTracedForwarded(nil, 0xFEEDFACE, 42, trs)
+	b := AppendRecordFrame(nil, TypeTracedForwarded, 0xFEEDFACE, 42, trs)
 
 	ftype, n, err := checkHeader(b)
 	if err != nil {
@@ -265,9 +269,9 @@ func TestTracedForwardedRoundTrip(t *testing.T) {
 	if ftype != TypeTracedForwarded {
 		t.Fatalf("frame type = %d, want %d", ftype, TypeTracedForwarded)
 	}
-	origin, seq, out, err := ParseTracedForwarded(b[HeaderSize:HeaderSize+n], nil)
+	origin, seq, out, err := decodePayload(ftype, b[HeaderSize:HeaderSize+n])
 	if err != nil {
-		t.Fatalf("ParseTracedForwarded: %v", err)
+		t.Fatalf("decode traced forwarded: %v", err)
 	}
 	if origin != 0xFEEDFACE || seq != 42 {
 		t.Fatalf("origin/seq = %#x/%d, want 0xfeedface/42", origin, seq)
@@ -277,7 +281,7 @@ func TestTracedForwardedRoundTrip(t *testing.T) {
 	}
 	for i := range trs {
 		want := trs[i]
-		want.Ctx.Origin = 0xFEEDFACE // parse stamps the frame origin per record
+		want.Ctx.Origin = 0xFEEDFACE // decode stamps the frame origin per record
 		if out[i] != want {
 			t.Fatalf("record %d = %+v, want %+v", i, out[i], want)
 		}
@@ -285,23 +289,23 @@ func TestTracedForwardedRoundTrip(t *testing.T) {
 }
 
 func TestTracedForwardedCorruptionDetected(t *testing.T) {
-	b := AppendTracedForwarded(nil, 1, 0, fwdTestTraced(3))
+	b := AppendRecordFrame(nil, TypeTracedForwarded, 1, 0, fwdTestTraced(3))
 	b[HeaderSize+30] ^= 0xFF
-	if _, _, _, err := ParseTracedForwarded(b[HeaderSize:], nil); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := decodePayload(TypeTracedForwarded, b[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupted traced forwarded frame parsed: err = %v", err)
 	}
 }
 
 func TestTracedForwardedSlabDecode(t *testing.T) {
 	trs := fwdTestTraced(9)
-	b := AppendTracedForwarded(nil, 77, 13, trs)
+	b := AppendRecordFrame(nil, TypeTracedForwarded, 77, 13, trs)
 
 	pool := NewSlabPool(1)
 	s := pool.Get()
 	defer s.Release()
-	origin, seq, err := s.AppendTracedForwardedPayload(b[HeaderSize:])
+	origin, seq, err := s.AppendPayload(TypeTracedForwarded, b[HeaderSize:])
 	if err != nil {
-		t.Fatalf("AppendTracedForwardedPayload: %v", err)
+		t.Fatalf("AppendPayload: %v", err)
 	}
 	if origin != 77 || seq != 13 {
 		t.Fatalf("origin/seq = %d/%d, want 77/13", origin, seq)
@@ -321,23 +325,35 @@ func TestTracedForwardedSlabDecode(t *testing.T) {
 	}
 }
 
-// TestTracedForwardedReaderStripsHopLane: the generic stream reader
-// unwraps traced forwarded frames keeping id+sent but shedding the
-// cluster-internal hop lane, so its output always re-encodes as plain
-// 16-byte trace contexts (the fuzz round-trip contract).
+// TestTracedForwardedReaderStripsHopLane: a traced forwarded frame
+// read off a stream keeps its full hop lane (routed, origin), and its
+// exporter-facing view — re-encoded as 16-byte trace contexts, the
+// fuzz round-trip contract — keeps id+sent and sheds the
+// cluster-internal hop lane.
 func TestTracedForwardedReaderStripsHopLane(t *testing.T) {
 	trs := fwdTestTraced(4)
-	b := AppendTracedForwarded(nil, 5, 0, trs)
-	r := NewReader(bytes.NewReader(b))
+	b := AppendRecordFrame(nil, TypeTracedForwarded, 5, 0, trs)
+	hop, err := readRecords(NewReader(bytes.NewReader(b)), math.MaxInt)
+	if err != io.EOF || len(hop) != len(trs) {
+		t.Fatalf("decoded %d records, err %v; want %d and EOF", len(hop), err, len(trs))
+	}
 	for i := range trs {
-		got, err := r.NextTraced()
-		if err != nil {
-			t.Fatalf("NextTraced %d: %v", i, err)
+		want := trs[i]
+		want.Ctx.Origin = 5
+		if hop[i] != want {
+			t.Fatalf("hop record %d = %+v, want %+v", i, hop[i], want)
 		}
+	}
+	facing := AppendRecordFrame(nil, TypeTracedRecords, 0, 0, hop)
+	got, err := readRecords(NewReader(bytes.NewReader(facing)), math.MaxInt)
+	if err != io.EOF || len(got) != len(trs) {
+		t.Fatalf("re-decoded %d records, err %v; want %d and EOF", len(got), err, len(trs))
+	}
+	for i := range trs {
 		want := trs[i]
 		want.Ctx.Routed, want.Ctx.Origin = 0, 0
-		if got != want {
-			t.Fatalf("record %d = %+v, want %+v", i, got, want)
+		if got[i] != want {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want)
 		}
 	}
 }
@@ -387,7 +403,7 @@ func TestTracedForwardNegotiation(t *testing.T) {
 					}
 					conn.Write(AppendAckFlags(nil, accepted, flags&echoMask))
 				case TypeTracedForwarded:
-					_, _, trs, err := ParseTracedForwarded(payload, nil)
+					_, _, trs, err := decodePayload(ftype, payload)
 					if err != nil {
 						ch <- res
 						return
@@ -397,16 +413,14 @@ func TestTracedForwardNegotiation(t *testing.T) {
 					accepted += uint64(len(trs))
 					conn.Write(AppendAck(nil, accepted))
 				case TypeForwarded:
-					_, _, recs, err := ParseForwarded(payload, nil)
+					_, _, trs, err := decodePayload(ftype, payload)
 					if err != nil {
 						ch <- res
 						return
 					}
 					res.plainFrames++
-					for _, r := range recs {
-						res.trs = append(res.trs, TracedRecord{Record: r})
-					}
-					accepted += uint64(len(recs))
+					res.trs = append(res.trs, trs...)
+					accepted += uint64(len(trs))
 					conn.Write(AppendAck(nil, accepted))
 				}
 			}

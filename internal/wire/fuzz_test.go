@@ -37,10 +37,11 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzReader throws arbitrary bytes at the stream reader: it must
-// never panic, must classify every failure as io.EOF or ErrBadFrame,
-// and everything it does decode must re-encode to a parseable stream
-// yielding the same records.
+// FuzzReader throws arbitrary bytes at the stream reader and the slab
+// decoder (ReadFrame + Slab.AppendPayload): they must never panic,
+// must classify every failure as io.EOF or ErrBadFrame, and everything
+// they do decode must re-encode to a parseable stream yielding the
+// same records.
 func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, nil))
@@ -52,18 +53,11 @@ func FuzzReader(f *testing.F) {
 	f.Add(append([]byte{0xDE, 0xAD, 0xD0, 0x00}, AppendFrame(nil, []Record{{MF: 3}})...))
 	f.Add(append(AppendHello(nil, 7, 0), AppendSealed(nil, 0, []Record{{MF: 4}})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		var decoded []Record
-		for len(decoded) < 1<<16 {
-			rec, err := r.Next()
-			if err != nil {
-				if err != io.EOF && !errors.Is(err, ErrBadFrame) {
-					t.Fatalf("unexpected error class: %v", err)
-				}
-				break
-			}
-			decoded = append(decoded, rec)
+		trs, err := readRecords(NewReader(bytes.NewReader(data)), 1<<16)
+		if err != nil && err != io.EOF && !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("unexpected error class: %v", err)
 		}
+		decoded := recordsOf(trs)
 		if len(decoded) == 0 {
 			return
 		}
@@ -75,25 +69,29 @@ func FuzzReader(f *testing.F) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		r2 := NewReader(&buf)
+		again, err := readRecords(NewReader(&buf), len(decoded))
+		if err != nil && err != io.EOF {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if len(again) < len(decoded) {
+			t.Fatalf("re-decode: %d of %d records", len(again), len(decoded))
+		}
 		for i, want := range decoded {
-			got, err := r2.Next()
-			if err != nil {
-				t.Fatalf("re-decode record %d: %v", i, err)
-			}
-			if got != want {
+			if got := again[i].Record; got != want {
 				t.Fatalf("re-decode record %d: got %+v want %+v", i, got, want)
 			}
 		}
 	})
 }
 
-// FuzzTraceContext throws arbitrary bytes at the trace-aware reader:
-// NextTraced must never panic, must classify failures like Next, and
-// every traced record it decodes must re-encode to a byte-identical
-// parse. Legacy frames (TypeRecords/TypeSealed, the pre-trace corpus
-// shapes) must keep round-tripping with exactly zero trace contexts —
-// the backward-compat contract of the extension.
+// FuzzTraceContext throws arbitrary bytes at the stream reader and the
+// slab decoder with contexts kept: they must never panic, must classify
+// failures like FuzzReader, and the exporter-facing view of every
+// record they decode (id + sent; the cluster-internal hop lane of
+// forwarded frames shed) must re-encode to a byte-identical parse.
+// Legacy frames (TypeRecords/TypeSealed, the pre-trace corpus shapes)
+// must keep round-tripping with exactly zero trace contexts — the
+// backward-compat contract of the extension.
 func FuzzTraceContext(f *testing.F) {
 	f.Add([]byte{})
 	legacy := AppendFrame(nil, []Record{{T: 1, Topo: 2, Victim: 3, MF: 4, Src: 5, Proto: 6}})
@@ -103,39 +101,36 @@ func FuzzTraceContext(f *testing.F) {
 		{Record: Record{T: 1, MF: 2}, Ctx: TraceContext{ID: 3, Sent: 4}},
 		{Record: Record{T: 5, MF: 6}},
 	}
-	f.Add(AppendTracedFrame(nil, traced))
+	f.Add(AppendRecordFrame(nil, TypeTracedRecords, 0, 0, traced))
 	f.Add(AppendTracedSealed(nil, 9, traced))
 	f.Add(append(AppendHelloFlags(nil, 1, 0, HelloFlagTrace), AppendTracedSealed(nil, 0, traced)...))
-	f.Add(append(legacy, AppendTracedFrame(nil, traced)...))
+	f.Add(append(legacy, AppendRecordFrame(nil, TypeTracedRecords, 0, 0, traced)...))
 	// Truncations and bit flips around the traced layouts.
-	f.Add(AppendTracedFrame(nil, traced)[:HeaderSize+TracedRecordSize-1])
+	f.Add(AppendRecordFrame(nil, TypeTracedRecords, 0, 0, traced)[:HeaderSize+RecordSize+TraceCtxSize-1])
 	damaged := AppendTracedSealed(nil, 9, traced)
 	damaged[HeaderSize+10] ^= 0x80
 	f.Add(damaged)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		var decoded []TracedRecord
-		for len(decoded) < 1<<16 {
-			tr, err := r.NextTraced()
-			if err != nil {
-				if err != io.EOF && !errors.Is(err, ErrBadFrame) {
-					t.Fatalf("unexpected error class: %v", err)
-				}
-				break
-			}
-			decoded = append(decoded, tr)
+		decoded, err := readRecords(NewReader(bytes.NewReader(data)), 1<<16)
+		if err != nil && err != io.EOF && !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("unexpected error class: %v", err)
 		}
 		if len(decoded) == 0 {
 			return
 		}
+		for i := range decoded {
+			decoded[i].Ctx.Routed, decoded[i].Ctx.Origin = 0, 0
+		}
 		// Re-encode everything as traced frames; the re-parse must be
 		// exact, including the records that decoded with zero contexts.
-		reenc := AppendTracedFrame(nil, decoded[:min(len(decoded), MaxTracedPerFrame)])
-		got, _, err := ParseAnyFrame(reenc, nil)
-		if err != nil {
+		decoded = decoded[:min(len(decoded), MaxRecords(TypeTracedRecords))]
+		reenc := AppendRecordFrame(nil, TypeTracedRecords, 0, 0, decoded)
+		var s Slab
+		if _, err := s.AppendDatagramFrame(reenc); err != nil {
 			t.Fatalf("re-parse: %v", err)
 		}
-		for i, want := range decoded[:min(len(decoded), MaxTracedPerFrame)] {
+		got := slabTraced(&s)
+		for i, want := range decoded {
 			if got[i] != want {
 				t.Fatalf("re-parse record %d: got %+v want %+v", i, got[i], want)
 			}
@@ -157,16 +152,8 @@ func FuzzResyncReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		r.EnableResync()
-		decoded := 0
-		for decoded < 1<<16 {
-			_, err := r.Next()
-			if err != nil {
-				if err != io.EOF && !errors.Is(err, ErrBadFrame) {
-					t.Fatalf("unexpected error class: %v", err)
-				}
-				break
-			}
-			decoded++
+		if _, err := readRecords(r, 1<<16); err != nil && err != io.EOF && !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("unexpected error class: %v", err)
 		}
 		if r.SkippedBytes() > uint64(len(data)) {
 			t.Fatalf("skipped %d bytes of a %d-byte stream", r.SkippedBytes(), len(data))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/eventq"
@@ -59,17 +60,11 @@ func TestReaderResyncAcrossCorruption(t *testing.T) {
 
 			r := NewReader(bytes.NewReader(b))
 			r.EnableResync()
-			var got []Record
-			for {
-				rec, err := r.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatalf("resync reader died: %v", err)
-				}
-				got = append(got, rec)
+			trs, err := readRecords(r, math.MaxInt)
+			if err != io.EOF {
+				t.Fatalf("resync reader died: %v", err)
 			}
+			got := recordsOf(trs)
 			// Frames before the corruption arrive intact; the corrupted
 			// frame is skipped; everything after is recovered.
 			want := append(append([]Record(nil), recs[:corruptFrame*perFrame]...),
@@ -110,17 +105,17 @@ func TestReaderResyncThroughInjectedGarbage(t *testing.T) {
 
 	r := NewReader(bytes.NewReader(b))
 	r.EnableResync()
-	for i := range recs {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if rec != recs[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, rec, recs[i])
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
+	trs, err := readRecords(r, math.MaxInt)
+	if err != io.EOF {
 		t.Fatalf("want EOF after trailing garbage, got %v", err)
+	}
+	if len(trs) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(trs), len(recs))
+	}
+	for i, tr := range trs {
+		if tr.Record != recs[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, tr.Record, recs[i])
+		}
 	}
 	if got := r.SkippedBytes(); got != uint64(garbageBytes) {
 		t.Errorf("skipped %d bytes, want %d", got, garbageBytes)
@@ -135,21 +130,21 @@ func TestReaderResyncThroughInjectedGarbage(t *testing.T) {
 func TestReaderWithoutResyncStillFailsHard(t *testing.T) {
 	b := append([]byte{0xBA, 0xD0}, AppendFrame(nil, plainRecords(2))...)
 	r := NewReader(bytes.NewReader(b))
-	if _, err := r.Next(); !errors.Is(err, ErrBadFrame) {
+	if _, err := readRecords(r, 1); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("want ErrBadFrame, got %v", err)
 	}
 }
 
 // TestReaderCapsEmptyFrameRuns is the regression test for the
 // empty-frame spin: a peer streaming valid zero-record frames used to
-// loop Next forever with no progress or accounting.
+// spin the record reader forever with no progress or accounting.
 func TestReaderCapsEmptyFrameRuns(t *testing.T) {
 	var b []byte
 	for i := 0; i < MaxEmptyFrames+1; i++ {
 		b = AppendFrame(b, nil)
 	}
 	r := NewReader(bytes.NewReader(b))
-	_, err := r.Next()
+	_, err := readRecords(r, 1)
 	if !errors.Is(err, ErrEmptyFlood) || !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("empty-frame flood: got %v, want ErrEmptyFlood wrapping ErrBadFrame", err)
 	}
@@ -166,18 +161,17 @@ func TestReaderCapsEmptyFrameRuns(t *testing.T) {
 		b = AppendFrame(b, nil)
 	}
 	b = AppendFrame(b, recs[1:])
-	r = NewReader(bytes.NewReader(b))
-	for i := range recs {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d after empty runs: %v", i, err)
-		}
-		if rec != recs[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, rec, recs[i])
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
+	trs, err := readRecords(NewReader(bytes.NewReader(b)), math.MaxInt)
+	if err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
+	}
+	if len(trs) != len(recs) {
+		t.Fatalf("decoded %d records after empty runs, want %d", len(trs), len(recs))
+	}
+	for i, tr := range trs {
+		if tr.Record != recs[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, tr.Record, recs[i])
+		}
 	}
 }
 
@@ -209,12 +203,12 @@ func TestSessionFrameRoundTrips(t *testing.T) {
 	if ftype, _, err = checkHeader(b); err != nil || ftype != TypeSealed {
 		t.Fatalf("sealed header: type=%d err=%v", ftype, err)
 	}
-	seq, got, err := ParseSealed(b[HeaderSize:], nil)
+	_, seq, got, err := decodePayload(TypeSealed, b[HeaderSize:])
 	if err != nil || seq != 99 {
 		t.Fatalf("sealed round trip: seq=%d err=%v", seq, err)
 	}
 	for i := range recs {
-		if got[i] != recs[i] {
+		if got[i].Record != recs[i] {
 			t.Fatalf("sealed record %d mismatch", i)
 		}
 	}
@@ -228,7 +222,7 @@ func TestSealedCRCDetectsCorruption(t *testing.T) {
 	for off := HeaderSize; off < len(frame); off++ {
 		b := append([]byte(nil), frame...)
 		b[off] ^= 0x20
-		if _, _, err := ParseSealed(b[HeaderSize:], nil); !errors.Is(err, ErrBadFrame) {
+		if _, _, _, err := decodePayload(TypeSealed, b[HeaderSize:]); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("corruption at byte %d not detected: %v", off, err)
 		}
 	}
@@ -245,8 +239,9 @@ func TestSealedCRCDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestNextSkipsControlFramesAndUnwrapsSealed: a record iterator over a
-// mixed session stream sees exactly the records.
+// TestNextSkipsControlFramesAndUnwrapsSealed: reading a mixed session
+// stream frame by frame and decoding the record frames yields exactly
+// the records.
 func TestNextSkipsControlFramesAndUnwrapsSealed(t *testing.T) {
 	recs := plainRecords(6)
 	var b []byte
@@ -254,17 +249,16 @@ func TestNextSkipsControlFramesAndUnwrapsSealed(t *testing.T) {
 	b = AppendSealed(b, 0, recs[:4])
 	b = AppendAck(b, 4)
 	b = AppendFrame(b, recs[4:])
-	r := NewReader(bytes.NewReader(b))
-	for i := range recs {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if rec != recs[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, rec, recs[i])
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
+	trs, err := readRecords(NewReader(bytes.NewReader(b)), math.MaxInt)
+	if err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
+	}
+	if len(trs) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(trs), len(recs))
+	}
+	for i, tr := range trs {
+		if tr.Record != recs[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, tr.Record, recs[i])
+		}
 	}
 }

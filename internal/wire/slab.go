@@ -20,9 +20,9 @@ import (
 )
 
 // SlabCap is a slab's record capacity. It equals the largest record
-// count a single wire frame can carry, so any one frame always decodes
-// into an empty slab without splitting.
-const SlabCap = MaxRecordsPerFrame
+// count a single wire frame can carry (a TypeRecords frame), so any one
+// frame always decodes into an empty slab without splitting.
+const SlabCap = MaxFramePayload / RecordSize
 
 // ErrSlabFull is returned by the append-decoders when a frame's records
 // would not fit in the slab's remaining capacity; the caller submits
@@ -139,169 +139,97 @@ func (s *Slab) AppendTraced(tr TracedRecord) {
 	s.Ctxs = append(s.Ctxs, tr.Ctx)
 }
 
-// AppendRecordsPayload decodes a TypeRecords payload (alignment checked
-// at the frame header) into the slab.
-func (s *Slab) AppendRecordsPayload(payload []byte) error {
-	n := len(payload) / RecordSize
-	if n > s.Free() {
-		return ErrSlabFull
+// AppendPayload verifies one record frame's payload and decodes its
+// records into the slab — the one decoder behind every record frame
+// type. It returns the frame's origin member id (forwarded layouts) and
+// sequence number (sealed layouts), zero where the layout has none.
+// Traced layouts keep their contexts, forward-hop ones with the frame's
+// origin in every Ctx.Origin; untraced frames add zero contexts only
+// when the slab already holds a context lane. ErrSlabFull leaves the
+// slab unchanged.
+func (s *Slab) AppendPayload(ftype uint8, payload []byte) (origin, seq uint64, err error) {
+	l, ok := layouts[ftype]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: frame type %d carries no records", ErrBadFrame, ftype)
 	}
-	return s.appendPlain(payload)
-}
-
-func (s *Slab) appendPlain(body []byte) error {
+	if err := l.checkLen(len(payload)); err != nil {
+		return 0, 0, err
+	}
+	stride := l.stride()
+	n := (len(payload) - l.overhead()) / stride
+	if n > s.Free() {
+		return 0, 0, ErrSlabFull
+	}
+	body := payload
+	if l.Sealed {
+		body = payload[:len(payload)-4]
+		if binary.BigEndian.Uint32(payload[len(body):]) != crc32.ChecksumIEEE(body) {
+			return 0, 0, fmt.Errorf("%w: %s crc mismatch", ErrBadFrame, l)
+		}
+		if l.Origin {
+			origin, body = binary.BigEndian.Uint64(body), body[8:]
+		}
+		seq, body = binary.BigEndian.Uint64(body), body[8:]
+	}
 	if s.Recs == nil {
 		s.Recs = s.recsBuf[:0]
 	}
-	for off := 0; off+RecordSize <= len(body); off += RecordSize {
-		rec, err := DecodeRecord(body[off:])
-		if err != nil {
-			return err
+	if l.Ctx == 0 {
+		for off := 0; off < len(body); off += RecordSize {
+			s.Recs = append(s.Recs, decodeRecord(body[off:]))
 		}
-		s.Recs = append(s.Recs, rec)
 		if s.Ctxs != nil {
-			s.Ctxs = append(s.Ctxs, TraceContext{})
+			s.Ctxs = append(s.Ctxs, make([]TraceContext, n)...)
 		}
-	}
-	return nil
-}
-
-// AppendTracedPayload decodes a TypeTracedRecords payload into the
-// slab, keeping the trace contexts.
-func (s *Slab) AppendTracedPayload(payload []byte) error {
-	n := len(payload) / TracedRecordSize
-	if n > s.Free() {
-		return ErrSlabFull
-	}
-	return s.appendTraced(payload)
-}
-
-func (s *Slab) appendTraced(body []byte) error {
-	if s.Recs == nil {
-		s.Recs = s.recsBuf[:0]
+		return origin, seq, nil
 	}
 	s.ensureCtxs()
-	for off := 0; off+TracedRecordSize <= len(body); off += TracedRecordSize {
-		tr, err := decodeTracedRecord(body[off:])
-		if err != nil {
-			return err
+	hop := l.Ctx == FwdCtxSize
+	for off := 0; off < len(body); off += stride {
+		s.Recs = append(s.Recs, decodeRecord(body[off:]))
+		c := body[off+RecordSize : off+stride]
+		tc := TraceContext{
+			ID:   binary.BigEndian.Uint64(c[0:8]),
+			Sent: int64(binary.BigEndian.Uint64(c[8:16])),
 		}
-		s.Recs = append(s.Recs, tr.Record)
-		s.Ctxs = append(s.Ctxs, tr.Ctx)
-	}
-	return nil
-}
-
-// AppendSealedPayload verifies and decodes a TypeSealed payload into
-// the slab, returning the batch's cumulative sequence number.
-func (s *Slab) AppendSealedPayload(payload []byte) (seq uint64, err error) {
-	if len(payload) < SealedOverhead || (len(payload)-SealedOverhead)%RecordSize != 0 {
-		return 0, fmt.Errorf("%w: sealed payload %d bytes", ErrBadFrame, len(payload))
-	}
-	if (len(payload)-SealedOverhead)/RecordSize > s.Free() {
-		return 0, ErrSlabFull
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, fmt.Errorf("%w: sealed crc mismatch", ErrBadFrame)
-	}
-	return binary.BigEndian.Uint64(body[0:8]), s.appendPlain(body[8:])
-}
-
-// AppendForwardedPayload verifies and decodes a TypeForwarded payload
-// into the slab, returning the relaying instance's origin id and the
-// batch's cumulative sequence number in the forward stream.
-func (s *Slab) AppendForwardedPayload(payload []byte) (origin, seq uint64, err error) {
-	if len(payload) < ForwardedOverhead || (len(payload)-ForwardedOverhead)%RecordSize != 0 {
-		return 0, 0, fmt.Errorf("%w: forwarded payload %d bytes", ErrBadFrame, len(payload))
-	}
-	if (len(payload)-ForwardedOverhead)/RecordSize > s.Free() {
-		return 0, 0, ErrSlabFull
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, 0, fmt.Errorf("%w: forwarded crc mismatch", ErrBadFrame)
-	}
-	return binary.BigEndian.Uint64(body[0:8]), binary.BigEndian.Uint64(body[8:16]), s.appendPlain(body[16:])
-}
-
-// AppendTracedForwardedPayload verifies and decodes a
-// TypeTracedForwarded payload into the slab, keeping the full
-// forward-hop contexts (id, sent, routed, origin), and returning the
-// relaying instance's origin id and the batch's cumulative sequence
-// number in the forward stream.
-func (s *Slab) AppendTracedForwardedPayload(payload []byte) (origin, seq uint64, err error) {
-	if len(payload) < TracedForwardedOverhead || (len(payload)-TracedForwardedOverhead)%TracedFwdRecordSize != 0 {
-		return 0, 0, fmt.Errorf("%w: traced forwarded payload %d bytes", ErrBadFrame, len(payload))
-	}
-	if (len(payload)-TracedForwardedOverhead)/TracedFwdRecordSize > s.Free() {
-		return 0, 0, ErrSlabFull
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, 0, fmt.Errorf("%w: traced forwarded crc mismatch", ErrBadFrame)
-	}
-	origin = binary.BigEndian.Uint64(body[0:8])
-	seq = binary.BigEndian.Uint64(body[8:16])
-	if s.Recs == nil {
-		s.Recs = s.recsBuf[:0]
-	}
-	s.ensureCtxs()
-	for off := 16; off+TracedFwdRecordSize <= len(body); off += TracedFwdRecordSize {
-		rec, err := DecodeRecord(body[off:])
-		if err != nil {
-			return 0, 0, err
+		if hop {
+			tc.Routed, tc.Origin = int64(binary.BigEndian.Uint64(c[16:24])), origin
 		}
-		s.Recs = append(s.Recs, rec)
-		s.Ctxs = append(s.Ctxs, TraceContext{
-			ID:     binary.BigEndian.Uint64(body[off+RecordSize : off+RecordSize+8]),
-			Sent:   int64(binary.BigEndian.Uint64(body[off+RecordSize+8 : off+RecordSize+16])),
-			Routed: int64(binary.BigEndian.Uint64(body[off+RecordSize+16 : off+RecordSize+24])),
-			Origin: origin,
-		})
+		s.Ctxs = append(s.Ctxs, tc)
 	}
 	return origin, seq, nil
 }
 
-// AppendTracedSealedPayload verifies and decodes a TypeTracedSealed
-// payload into the slab, keeping contexts and returning the sequence.
-func (s *Slab) AppendTracedSealedPayload(payload []byte) (seq uint64, err error) {
-	if len(payload) < SealedOverhead || (len(payload)-SealedOverhead)%TracedRecordSize != 0 {
-		return 0, fmt.Errorf("%w: traced sealed payload %d bytes", ErrBadFrame, len(payload))
-	}
-	if (len(payload)-SealedOverhead)/TracedRecordSize > s.Free() {
-		return 0, ErrSlabFull
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, fmt.Errorf("%w: traced sealed crc mismatch", ErrBadFrame)
-	}
-	return binary.BigEndian.Uint64(body[0:8]), s.appendTraced(body[8:])
+// AppendSealedPayload decodes a TypeSealed payload, returning its seq.
+func (s *Slab) AppendSealedPayload(payload []byte) (seq uint64, err error) {
+	_, seq, err = s.AppendPayload(TypeSealed, payload)
+	return seq, err
 }
 
-// AppendDatagramFrame decodes one complete record-bearing frame from b
-// (the UDP entry point: TypeRecords or TypeTracedRecords) into the
-// slab and returns the bytes consumed, so callers loop over packed
-// datagrams. ErrSlabFull leaves b unconsumed.
+// AppendTracedSealedPayload decodes a TypeTracedSealed payload,
+// returning its seq.
+func (s *Slab) AppendTracedSealedPayload(payload []byte) (seq uint64, err error) {
+	_, seq, err = s.AppendPayload(TypeTracedSealed, payload)
+	return seq, err
+}
+
+// AppendDatagramFrame decodes one complete bare record frame from b
+// (the UDP entry point: sealed frames need a session) into the slab and
+// returns the bytes consumed, so callers loop over packed datagrams.
+// ErrSlabFull leaves b unconsumed.
 func (s *Slab) AppendDatagramFrame(b []byte) (consumed int, err error) {
 	ftype, n, err := checkHeader(b)
 	if err != nil {
 		return 0, err
 	}
+	if l, ok := layouts[ftype]; !ok || l.Sealed {
+		return 0, fmt.Errorf("%w: frame type %d in a datagram", ErrBadFrame, ftype)
+	}
 	if len(b) < HeaderSize+n {
 		return 0, fmt.Errorf("%w: truncated payload: have %d of %d bytes",
 			ErrBadFrame, len(b)-HeaderSize, n)
 	}
-	payload := b[HeaderSize : HeaderSize+n]
-	switch ftype {
-	case TypeRecords:
-		err = s.AppendRecordsPayload(payload)
-	case TypeTracedRecords:
-		err = s.AppendTracedPayload(payload)
-	default:
-		return 0, fmt.Errorf("%w: frame type %d in a datagram", ErrBadFrame, ftype)
-	}
-	if err != nil {
+	if _, _, err := s.AppendPayload(ftype, b[HeaderSize:HeaderSize+n]); err != nil {
 		return 0, err
 	}
 	return HeaderSize + n, nil

@@ -31,7 +31,7 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 		frame := AppendFrame(nil, recs)
 		s := pool.Get()
 		defer s.Release()
-		if err := s.AppendRecordsPayload(frame[HeaderSize:]); err != nil {
+		if _, _, err := s.AppendPayload(TypeRecords, frame[HeaderSize:]); err != nil {
 			t.Fatal(err)
 		}
 		if s.Ctxs != nil {
@@ -69,10 +69,10 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 		for i, r := range recs {
 			trs[i] = TracedRecord{Record: r, Ctx: TraceContext{ID: uint64(i + 1), Sent: int64(i)}}
 		}
-		frame := AppendTracedFrame(nil, trs)
+		frame := AppendRecordFrame(nil, TypeTracedRecords, 0, 0, trs)
 		s := pool.Get()
 		defer s.Release()
-		if err := s.AppendTracedPayload(frame[HeaderSize:]); err != nil {
+		if _, _, err := s.AppendPayload(TypeTracedRecords, frame[HeaderSize:]); err != nil {
 			t.Fatal(err)
 		}
 		checkRecords(t, s.Recs, recs)
@@ -99,11 +99,11 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 		s := pool.Get()
 		defer s.Release()
 		plain := AppendFrame(nil, recs[:5])
-		if err := s.AppendRecordsPayload(plain[HeaderSize:]); err != nil {
+		if _, _, err := s.AppendPayload(TypeRecords, plain[HeaderSize:]); err != nil {
 			t.Fatal(err)
 		}
-		traced := AppendTracedFrame(nil, []TracedRecord{{Record: recs[5], Ctx: TraceContext{ID: 99}}})
-		if err := s.AppendTracedPayload(traced[HeaderSize:]); err != nil {
+		traced := AppendRecordFrame(nil, TypeTracedRecords, 0, 0, []TracedRecord{{Record: recs[5], Ctx: TraceContext{ID: 99}}})
+		if _, _, err := s.AppendPayload(TypeTracedRecords, traced[HeaderSize:]); err != nil {
 			t.Fatal(err)
 		}
 		if len(s.Ctxs) != 6 {
@@ -121,7 +121,7 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 
 	t.Run("datagram frame", func(t *testing.T) {
 		one := AppendFrame(nil, recs[:4])
-		two := AppendTracedFrame(one, []TracedRecord{{Record: recs[4], Ctx: TraceContext{ID: 3}}})
+		two := AppendRecordFrame(one, TypeTracedRecords, 0, 0, []TracedRecord{{Record: recs[4], Ctx: TraceContext{ID: 3}}})
 		s := pool.Get()
 		defer s.Release()
 		rest := two
@@ -142,7 +142,7 @@ func TestSlabDecodeRoundTrip(t *testing.T) {
 			s.Append(recs[0])
 		}
 		frame := AppendFrame(nil, recs[:1])
-		if err := s.AppendRecordsPayload(frame[HeaderSize:]); err != ErrSlabFull {
+		if _, _, err := s.AppendPayload(TypeRecords, frame[HeaderSize:]); err != ErrSlabFull {
 			t.Fatalf("append past capacity: %v, want ErrSlabFull", err)
 		}
 	})
@@ -346,13 +346,13 @@ func TestSlabConcurrentStress(t *testing.T) {
 }
 
 func TestClientRejectsOversizeMaxBatch(t *testing.T) {
-	if _, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecordsPerSealed + 1}); err == nil {
+	if _, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecords(TypeSealed) + 1}); err == nil {
 		t.Error("MaxBatch over the sealed-frame cap accepted")
 	}
-	if _, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxTracedPerSealed + 1, Trace: true}); err == nil {
+	if _, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecords(TypeTracedSealed) + 1, Trace: true}); err == nil {
 		t.Error("traced MaxBatch over the traced sealed-frame cap accepted")
 	}
-	if c, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecordsPerSealed}); err != nil {
+	if c, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", MaxBatch: MaxRecords(TypeSealed)}); err != nil {
 		t.Errorf("MaxBatch at the cap rejected: %v", err)
 	} else {
 		c.Close()

@@ -5,9 +5,10 @@ package wire
 // record can be followed from the exporter's Send call through the
 // daemon's identify → detect → block pipeline and into the flight
 // recorder. The extension is carried in its own frame types
-// (TypeTracedRecords / TypeTracedSealed) so legacy streams parse
-// unchanged; session clients negotiate it with a flag in the hello and
-// fall back to plain frames when the server does not echo it.
+// (TypeTracedRecords / TypeTracedSealed, see frame.go) so legacy
+// streams parse unchanged; session clients negotiate it with a flag in
+// the hello and fall back to plain frames when the server does not
+// echo it.
 
 import (
 	"encoding/binary"
@@ -16,22 +17,6 @@ import (
 )
 
 const (
-	// TypeTracedRecords is a bare record batch where every record is
-	// followed by a 16-byte trace context — the traced sibling of
-	// TypeRecords, valid on streams and in datagrams.
-	TypeTracedRecords uint8 = 5
-
-	// TypeTracedSealed is the traced sibling of TypeSealed: cumulative
-	// sequence number, traced records, CRC tail. Sent by session
-	// clients after the server acked the trace hello flag.
-	TypeTracedSealed uint8 = 6
-
-	// TraceCtxSize is the encoded trace context: id(8) + sent(8).
-	TraceCtxSize = 16
-
-	// TracedRecordSize is one record plus its trace context.
-	TracedRecordSize = RecordSize + TraceCtxSize
-
 	// HelloFlagTrace, set in an extended hello's flags word, asks the
 	// server to accept TypeTracedSealed frames on this session. The
 	// server echoes the flag in an extended ack when it will.
@@ -45,11 +30,6 @@ const (
 	// AckTracePayloadSize is the extended ack: count(8) + flags(4) +
 	// crc32(4). Legacy 12-byte acks remain valid (flags == 0).
 	AckTracePayloadSize = 16
-
-	// MaxTracedPerFrame and MaxTracedPerSealed are the per-frame traced
-	// record capacities under the 16-bit payload length.
-	MaxTracedPerFrame  = MaxFramePayload / TracedRecordSize
-	MaxTracedPerSealed = (MaxFramePayload - SealedOverhead) / TracedRecordSize
 )
 
 // TraceContext is the per-record tracing extension. A zero ID means
@@ -59,7 +39,8 @@ const (
 // Routed and Origin are the cluster forward-hop lane: a non-owning
 // instance stamps Routed when it decides to forward the record and
 // Origin names itself, so the owner can stitch a forward span into the
-// timeline. They ride only TypeTracedForwarded frames (FwdCtxSize) —
+// timeline. Routed rides only TypeTracedForwarded frames (FwdCtxSize),
+// whose decoder stamps the frame's origin into every context —
 // the exporter-facing 16-byte encoding of TypeTracedRecords and
 // TypeTracedSealed is unchanged and never carries them.
 type TraceContext struct {
@@ -95,98 +76,6 @@ func DecodeTraceContext(b []byte) (TraceContext, error) {
 		ID:   binary.BigEndian.Uint64(b[0:8]),
 		Sent: int64(binary.BigEndian.Uint64(b[8:16])),
 	}, nil
-}
-
-// appendTracedRecord appends one record + context pair.
-func appendTracedRecord(b []byte, tr TracedRecord) []byte {
-	b = AppendRecord(b, tr.Record)
-	return AppendTraceContext(b, tr.Ctx)
-}
-
-// decodeTracedRecord decodes one record + context pair from b.
-func decodeTracedRecord(b []byte) (TracedRecord, error) {
-	if len(b) < TracedRecordSize {
-		return TracedRecord{}, fmt.Errorf("%w: short traced record: %d bytes", ErrBadFrame, len(b))
-	}
-	rec, err := DecodeRecord(b)
-	if err != nil {
-		return TracedRecord{}, err
-	}
-	tc, err := DecodeTraceContext(b[RecordSize:])
-	if err != nil {
-		return TracedRecord{}, err
-	}
-	return TracedRecord{Record: rec, Ctx: tc}, nil
-}
-
-// AppendTracedFrame appends one TypeTracedRecords frame holding trs.
-// It panics if trs exceeds MaxTracedPerFrame, like AppendFrame.
-func AppendTracedFrame(b []byte, trs []TracedRecord) []byte {
-	if len(trs) > MaxTracedPerFrame {
-		panic(fmt.Sprintf("wire: %d traced records exceed the %d-record frame limit", len(trs), MaxTracedPerFrame))
-	}
-	b = appendHeader(b, TypeTracedRecords, len(trs)*TracedRecordSize)
-	for _, tr := range trs {
-		b = appendTracedRecord(b, tr)
-	}
-	return b
-}
-
-// AppendTracedSealed appends one traced session frame: seq plus traced
-// records, CRC-tailed like AppendSealed. It panics past
-// MaxTracedPerSealed — splitting is the Client's job.
-func AppendTracedSealed(b []byte, seq uint64, trs []TracedRecord) []byte {
-	if len(trs) > MaxTracedPerSealed {
-		panic(fmt.Sprintf("wire: %d traced records exceed the %d-record sealed-frame limit", len(trs), MaxTracedPerSealed))
-	}
-	b = appendHeader(b, TypeTracedSealed, SealedOverhead+len(trs)*TracedRecordSize)
-	start := len(b)
-	b = binary.BigEndian.AppendUint64(b, seq)
-	for _, tr := range trs {
-		b = appendTracedRecord(b, tr)
-	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-}
-
-// ParseTracedSealed decodes a TypeTracedSealed payload, appending the
-// traced records to trs (pass a reused slice's [:0] to avoid per-frame
-// allocation).
-func ParseTracedSealed(payload []byte, trs []TracedRecord) (seq uint64, out []TracedRecord, err error) {
-	if len(payload) < SealedOverhead || (len(payload)-SealedOverhead)%TracedRecordSize != 0 {
-		return 0, nil, fmt.Errorf("%w: traced sealed payload %d bytes", ErrBadFrame, len(payload))
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, nil, fmt.Errorf("%w: traced sealed crc mismatch", ErrBadFrame)
-	}
-	seq = binary.BigEndian.Uint64(body[0:8])
-	for off := 8; off < len(body); off += TracedRecordSize {
-		tr, err := decodeTracedRecord(body[off:])
-		if err != nil {
-			return 0, nil, err
-		}
-		trs = append(trs, tr)
-	}
-	return seq, trs, nil
-}
-
-// ParseTracedRecords decodes a TypeTracedRecords payload (alignment
-// validated at the frame header) into trs — the stream-reader sibling
-// of ParseAnyFrame for callers that already consumed the header.
-func ParseTracedRecords(payload []byte, trs []TracedRecord) ([]TracedRecord, error) {
-	return parseTracedPayload(payload, trs)
-}
-
-// parseTracedPayload decodes a TypeTracedRecords payload into trs.
-func parseTracedPayload(payload []byte, trs []TracedRecord) ([]TracedRecord, error) {
-	for off := 0; off+TracedRecordSize <= len(payload); off += TracedRecordSize {
-		tr, err := decodeTracedRecord(payload[off:])
-		if err != nil {
-			return trs, err
-		}
-		trs = append(trs, tr)
-	}
-	return trs, nil
 }
 
 // AppendHelloFlags appends a session-open frame carrying a flags word
@@ -255,40 +144,6 @@ func ParseAckFlags(payload []byte) (count uint64, flags uint32, err error) {
 	default:
 		return 0, 0, fmt.Errorf("%w: ack payload %d bytes", ErrBadFrame, len(payload))
 	}
-}
-
-// ParseAnyFrame decodes a complete record-bearing frame held in b —
-// the datagram entry point once traced frames exist. It handles both
-// TypeRecords (zero trace contexts) and TypeTracedRecords, appends the
-// decoded traced records to trs, and returns the bytes consumed so
-// callers can loop over packed datagrams.
-func ParseAnyFrame(b []byte, trs []TracedRecord) (out []TracedRecord, consumed int, err error) {
-	ftype, n, err := checkHeader(b)
-	if err != nil {
-		return trs, 0, err
-	}
-	if len(b) < HeaderSize+n {
-		return trs, 0, fmt.Errorf("%w: truncated payload: have %d of %d bytes",
-			ErrBadFrame, len(b)-HeaderSize, n)
-	}
-	payload := b[HeaderSize : HeaderSize+n]
-	switch ftype {
-	case TypeRecords:
-		for off := 0; off+RecordSize <= len(payload); off += RecordSize {
-			rec, err := DecodeRecord(payload[off:])
-			if err != nil {
-				return trs, 0, err
-			}
-			trs = append(trs, TracedRecord{Record: rec})
-		}
-	case TypeTracedRecords:
-		if trs, err = parseTracedPayload(payload, trs); err != nil {
-			return trs, 0, err
-		}
-	default:
-		return trs, 0, fmt.Errorf("%w: frame type %d in a datagram", ErrBadFrame, ftype)
-	}
-	return trs, HeaderSize + n, nil
 }
 
 // SplitMix64 spreads a counter into a well-distributed 64-bit id — the

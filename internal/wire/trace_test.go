@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -43,11 +45,13 @@ func testTracedRecords() []TracedRecord {
 
 func TestTracedFrameRoundTrip(t *testing.T) {
 	want := testTracedRecords()
-	b := AppendTracedFrame(nil, want)
-	got, consumed, err := ParseAnyFrame(b, nil)
+	b := AppendRecordFrame(nil, TypeTracedRecords, 0, 0, want)
+	var s Slab
+	consumed, err := s.AppendDatagramFrame(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := slabTraced(&s)
 	if consumed != len(b) {
 		t.Fatalf("consumed %d of %d bytes", consumed, len(b))
 	}
@@ -61,13 +65,14 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseAnyFrameLegacyRecordsGetZeroContext(t *testing.T) {
+func TestLegacyRecordsGetZeroContext(t *testing.T) {
 	recs := []Record{{T: 1, MF: 2}, {T: 3, MF: 4}}
 	b := AppendFrame(nil, recs)
-	got, _, err := ParseAnyFrame(b, nil)
-	if err != nil {
+	var s Slab
+	if _, err := s.AppendDatagramFrame(b); err != nil {
 		t.Fatal(err)
 	}
+	got := slabTraced(&s)
 	for i, tr := range got {
 		if tr.Ctx != (TraceContext{}) {
 			t.Fatalf("record %d: legacy frame produced context %+v", i, tr.Ctx)
@@ -82,7 +87,7 @@ func TestTracedSealedRoundTrip(t *testing.T) {
 	want := testTracedRecords()
 	b := AppendTracedSealed(nil, 42, want)
 	payload := b[HeaderSize:]
-	seq, got, err := ParseTracedSealed(payload, nil)
+	_, seq, got, err := decodePayload(TypeTracedSealed, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +102,7 @@ func TestTracedSealedRoundTrip(t *testing.T) {
 	// Any flipped byte must fail the CRC.
 	corrupt := append([]byte(nil), payload...)
 	corrupt[9] ^= 0x40
-	if _, _, err := ParseTracedSealed(corrupt, nil); err == nil {
+	if _, _, _, err := decodePayload(TypeTracedSealed, corrupt); err == nil {
 		t.Fatal("corrupted traced sealed payload parsed")
 	}
 }
@@ -150,27 +155,23 @@ func TestHelloAckFlagLayouts(t *testing.T) {
 	}
 }
 
-// TestReaderNextTracedMixedStream interleaves every record-bearing
-// frame type on one stream: NextTraced must deliver all records in
-// order, with contexts only where the wire carried them, and the legacy
-// Next must keep working on the same stream shapes.
-func TestReaderNextTracedMixedStream(t *testing.T) {
+// TestReaderMixedRecordStream interleaves the exporter-facing record
+// frame types on one stream: reading frames and decoding them into a
+// slab must deliver all records in order, with contexts only where the
+// wire carried them, and the record lane alone must match on the same
+// stream shapes.
+func TestReaderMixedRecordStream(t *testing.T) {
 	traced := testTracedRecords()
 	plain := []Record{{T: 100, MF: 1}, {T: 101, MF: 2}}
 	var stream []byte
 	stream = AppendFrame(stream, plain)
-	stream = AppendTracedFrame(stream, traced)
+	stream = AppendRecordFrame(stream, TypeTracedRecords, 0, 0, traced)
 	stream = AppendSealed(stream, 0, plain)
 	stream = AppendTracedSealed(stream, 2, traced)
 
-	r := NewReader(bytes.NewReader(stream))
-	var got []TracedRecord
-	for {
-		tr, err := r.NextTraced()
-		if err != nil {
-			break
-		}
-		got = append(got, tr)
+	got, err := readRecords(NewReader(bytes.NewReader(stream)), math.MaxInt)
+	if err != io.EOF {
+		t.Fatalf("want EOF, got %v", err)
 	}
 	var want []TracedRecord
 	for _, rec := range plain {
@@ -190,15 +191,14 @@ func TestReaderNextTracedMixedStream(t *testing.T) {
 		}
 	}
 
-	// The context-blind Next sees the same records, contexts dropped.
-	r2 := NewReader(bytes.NewReader(stream))
-	for i := range want {
-		rec, err := r2.Next()
-		if err != nil {
-			t.Fatalf("Next record %d: %v", i, err)
-		}
+	// The record lane alone matches, contexts dropped.
+	again, err := readRecords(NewReader(bytes.NewReader(stream)), math.MaxInt)
+	if err != io.EOF {
+		t.Fatalf("second read: want EOF, got %v", err)
+	}
+	for i, rec := range recordsOf(again) {
 		if rec != want[i].Record {
-			t.Fatalf("Next record %d: got %+v want %+v", i, rec, want[i].Record)
+			t.Fatalf("record lane %d: got %+v want %+v", i, rec, want[i].Record)
 		}
 	}
 }
@@ -278,21 +278,8 @@ func (s *traceServer) handle(conn net.Conn) {
 			if _, err := conn.Write(scratch); err != nil {
 				return
 			}
-		case TypeSealed:
-			seq, batch, err := ParseSealed(payload, nil)
-			if err != nil {
-				return
-			}
-			trs := make([]TracedRecord, len(batch))
-			for i, rec := range batch {
-				trs[i] = TracedRecord{Record: rec}
-			}
-			scratch = AppendAckFlags(scratch[:0], ingest(seq, trs), ackFlags)
-			if _, err := conn.Write(scratch); err != nil {
-				return
-			}
-		case TypeTracedSealed:
-			seq, batch, err := ParseTracedSealed(payload, nil)
+		case TypeSealed, TypeTracedSealed:
+			_, seq, batch, err := decodePayload(ftype, payload)
 			if err != nil {
 				return
 			}

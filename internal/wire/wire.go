@@ -32,10 +32,6 @@ const (
 	Magic   uint16 = 0xD05E
 	Version uint8  = 1
 
-	// TypeRecords is a bare record batch — the original exporter
-	// format, still what UDP datagrams and one-shot TCP streams carry.
-	TypeRecords uint8 = 1
-
 	// TypeHello opens a resumable exporter session: the client names a
 	// stream id and the cumulative record count it has buffered from,
 	// and the server replies with a TypeAck carrying how many records
@@ -45,13 +41,6 @@ const (
 	// TypeAck is the server's cumulative accepted-record count for the
 	// connection's session stream. CRC-tailed.
 	TypeAck uint8 = 3
-
-	// TypeSealed is a session record batch: a cumulative sequence
-	// number plus records, CRC-tailed so corruption is detected rather
-	// than silently tallied. Sequence numbers make retransmits after a
-	// reconnect exactly-once: the server skips the already-accepted
-	// prefix.
-	TypeSealed uint8 = 4
 
 	// HeaderSize is the frame header: magic(2) version(1) type(1)
 	// payload-length(2), big-endian throughout.
@@ -66,15 +55,10 @@ const (
 	// AckPayloadSize is count(8) + crc32(4).
 	AckPayloadSize = 12
 
-	// SealedOverhead is the non-record part of a TypeSealed payload:
-	// seq(8) leading + crc32(4) trailing.
-	SealedOverhead = 12
-
 	// MaxFramePayload is the largest payload a frame can carry (the
-	// length field is 16-bit); the per-type record capacities follow.
-	MaxFramePayload     = 1<<16 - 1
-	MaxRecordsPerFrame  = MaxFramePayload / RecordSize
-	MaxRecordsPerSealed = (MaxFramePayload - SealedOverhead) / RecordSize
+	// length field is 16-bit); MaxRecords gives each record frame
+	// type's capacity under it.
+	MaxFramePayload = 1<<16 - 1
 
 	// MaxEmptyFrames caps how many consecutive zero-record frames a
 	// Reader tolerates before declaring the peer abusive: each empty
@@ -140,6 +124,12 @@ func DecodeRecord(b []byte) (Record, error) {
 	if len(b) < RecordSize {
 		return Record{}, fmt.Errorf("%w: short record: %d bytes", ErrBadFrame, len(b))
 	}
+	return decodeRecord(b), nil
+}
+
+// decodeRecord is DecodeRecord for callers that checked the length.
+func decodeRecord(b []byte) Record {
+	_ = b[RecordSize-1]
 	return Record{
 		T:      eventq.Time(binary.BigEndian.Uint64(b[0:8])),
 		Topo:   binary.BigEndian.Uint32(b[8:12]),
@@ -147,48 +137,7 @@ func DecodeRecord(b []byte) (Record, error) {
 		MF:     binary.BigEndian.Uint16(b[16:18]),
 		Src:    packet.Addr(binary.BigEndian.Uint32(b[18:22])),
 		Proto:  packet.Proto(b[22]),
-	}, nil
-}
-
-// AppendFrame appends one frame holding recs to b. It panics if recs
-// exceeds MaxRecordsPerFrame — splitting across frames is the Writer's
-// job.
-func AppendFrame(b []byte, recs []Record) []byte {
-	if len(recs) > MaxRecordsPerFrame {
-		panic(fmt.Sprintf("wire: %d records exceed the %d-record frame limit", len(recs), MaxRecordsPerFrame))
 	}
-	b = appendHeader(b, TypeRecords, len(recs)*RecordSize)
-	for _, r := range recs {
-		b = AppendRecord(b, r)
-	}
-	return b
-}
-
-// ParseFrame decodes a complete TypeRecords frame held in b — the UDP
-// entry point. A datagram may carry several frames back to back, so it
-// returns the decoded records and the number of bytes consumed;
-// callers loop until the datagram is exhausted.
-func ParseFrame(b []byte) ([]Record, int, error) {
-	ftype, n, err := checkHeader(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	if ftype != TypeRecords {
-		return nil, 0, fmt.Errorf("%w: frame type %d in a datagram", ErrBadFrame, ftype)
-	}
-	if len(b) < HeaderSize+n {
-		return nil, 0, fmt.Errorf("%w: truncated payload: have %d of %d bytes",
-			ErrBadFrame, len(b)-HeaderSize, n)
-	}
-	recs := make([]Record, 0, n/RecordSize)
-	for off := HeaderSize; off < HeaderSize+n; off += RecordSize {
-		r, err := DecodeRecord(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		recs = append(recs, r)
-	}
-	return recs, HeaderSize + n, nil
 }
 
 // appendHeader appends a 6-byte frame header for ftype with an n-byte
@@ -246,48 +195,9 @@ func ParseAck(payload []byte) (count uint64, err error) {
 	return binary.BigEndian.Uint64(payload[0:8]), nil
 }
 
-// AppendSealed appends one session record frame: seq is the cumulative
-// index of recs[0] in the stream, and the CRC seals seq plus every
-// record byte so in-flight corruption is detected instead of tallied.
-// It panics if recs exceeds MaxRecordsPerSealed — splitting is the
-// Client's job.
-func AppendSealed(b []byte, seq uint64, recs []Record) []byte {
-	if len(recs) > MaxRecordsPerSealed {
-		panic(fmt.Sprintf("wire: %d records exceed the %d-record sealed-frame limit", len(recs), MaxRecordsPerSealed))
-	}
-	b = appendHeader(b, TypeSealed, SealedOverhead+len(recs)*RecordSize)
-	start := len(b)
-	b = binary.BigEndian.AppendUint64(b, seq)
-	for _, r := range recs {
-		b = AppendRecord(b, r)
-	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-}
-
-// ParseSealed decodes a TypeSealed payload, appending the records to
-// recs (pass a reused slice's [:0] to avoid per-frame allocation).
-func ParseSealed(payload []byte, recs []Record) (seq uint64, out []Record, err error) {
-	if len(payload) < SealedOverhead || (len(payload)-SealedOverhead)%RecordSize != 0 {
-		return 0, nil, fmt.Errorf("%w: sealed payload %d bytes", ErrBadFrame, len(payload))
-	}
-	body, tail := payload[:len(payload)-4], payload[len(payload)-4:]
-	if got := binary.BigEndian.Uint32(tail); got != crc32.ChecksumIEEE(body) {
-		return 0, nil, fmt.Errorf("%w: sealed crc mismatch", ErrBadFrame)
-	}
-	seq = binary.BigEndian.Uint64(body[0:8])
-	for off := 8; off < len(body); off += RecordSize {
-		r, err := DecodeRecord(body[off:])
-		if err != nil {
-			return 0, nil, err
-		}
-		recs = append(recs, r)
-	}
-	return seq, recs, nil
-}
-
 // checkHeader validates the 6-byte header and returns the frame type
-// and payload length. Length sanity is per type: record batches must
-// be record-aligned, control frames have fixed shapes.
+// and payload length. Length sanity is per type: record frames must
+// fit their layout, control frames have fixed shapes.
 func checkHeader(b []byte) (ftype uint8, n int, err error) {
 	if len(b) < HeaderSize {
 		return 0, 0, fmt.Errorf("%w: short header: %d bytes", ErrBadFrame, len(b))
@@ -299,15 +209,13 @@ func checkHeader(b []byte) (ftype uint8, n int, err error) {
 		return 0, 0, fmt.Errorf("%w: version %d", ErrBadFrame, b[2])
 	}
 	n = int(binary.BigEndian.Uint16(b[4:6]))
+	if l, ok := layouts[b[3]]; ok {
+		if err := l.checkLen(n); err != nil {
+			return 0, 0, err
+		}
+		return b[3], n, nil
+	}
 	switch b[3] {
-	case TypeRecords:
-		if n%RecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: payload length %d not a multiple of %d", ErrBadFrame, n, RecordSize)
-		}
-	case TypeTracedRecords:
-		if n%TracedRecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: traced payload length %d not a multiple of %d", ErrBadFrame, n, TracedRecordSize)
-		}
 	case TypeHello:
 		if n != HelloPayloadSize && n != HelloTracePayloadSize {
 			return 0, 0, fmt.Errorf("%w: hello length %d", ErrBadFrame, n)
@@ -315,22 +223,6 @@ func checkHeader(b []byte) (ftype uint8, n int, err error) {
 	case TypeAck:
 		if n != AckPayloadSize && n != AckTracePayloadSize {
 			return 0, 0, fmt.Errorf("%w: ack length %d", ErrBadFrame, n)
-		}
-	case TypeSealed:
-		if n < SealedOverhead || (n-SealedOverhead)%RecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: sealed length %d", ErrBadFrame, n)
-		}
-	case TypeTracedSealed:
-		if n < SealedOverhead || (n-SealedOverhead)%TracedRecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: traced sealed length %d", ErrBadFrame, n)
-		}
-	case TypeForwarded:
-		if n < ForwardedOverhead || (n-ForwardedOverhead)%RecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: forwarded length %d", ErrBadFrame, n)
-		}
-	case TypeTracedForwarded:
-		if n < TracedForwardedOverhead || (n-TracedForwardedOverhead)%TracedFwdRecordSize != 0 {
-			return 0, 0, fmt.Errorf("%w: traced forwarded length %d", ErrBadFrame, n)
 		}
 	case TypeGossip:
 		if n < GossipOverhead {
@@ -364,10 +256,7 @@ func NewWriter(w io.Writer) *Writer {
 // WriteRecords frames and writes recs.
 func (w *Writer) WriteRecords(recs []Record) error {
 	for len(recs) > 0 {
-		n := len(recs)
-		if n > MaxRecordsPerFrame {
-			n = MaxRecordsPerFrame
-		}
+		n := min(len(recs), MaxRecords(TypeRecords))
 		w.scratch = AppendFrame(w.scratch[:0], recs[:n])
 		if _, err := w.bw.Write(w.scratch); err != nil {
 			return err
@@ -387,9 +276,9 @@ func (w *Writer) Frames() uint64  { return w.frames }
 func (w *Writer) Records() uint64 { return w.records }
 
 // Reader decodes a stream of frames (the TCP entry point). ReadFrame
-// returns whole frames; Next returns records one at a time. io.EOF
-// cleanly ends a stream only on a frame boundary — EOF mid-frame is
-// reported as ErrBadFrame.
+// returns whole frames; Slab.AppendPayload decodes a record frame's
+// payload. io.EOF cleanly ends a stream only on a frame boundary — EOF
+// mid-frame is reported as ErrBadFrame.
 //
 // By default framing errors are permanent: the stream position is
 // unknown after one, so callers should drop the connection. With
@@ -401,9 +290,6 @@ type Reader struct {
 	br      *bufio.Reader
 	carry   []byte // bytes over-read during a resync scan, consumed first
 	payload []byte // reused per-frame payload buffer
-	pending []TracedRecord
-	recs    []Record // reused scratch for unwrapping untraced sealed batches
-	pendIdx int
 
 	resync   bool
 	frames   uint64
@@ -515,7 +401,9 @@ func (r *Reader) ReadFrame() (ftype uint8, payload []byte, err error) {
 		if err := r.readFull(payload); err != nil {
 			return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 		}
-		if (ftype == TypeRecords || ftype == TypeTracedRecords) && n == 0 {
+		// Only bare record frames can be empty: every other type has
+		// a fixed or minimum payload.
+		if n == 0 {
 			r.emptyRun++
 			if r.emptyRun > MaxEmptyFrames {
 				r.emptyRun = 0
@@ -527,74 +415,4 @@ func (r *Reader) ReadFrame() (ftype uint8, payload []byte, err error) {
 		r.frames++
 		return ftype, payload, nil
 	}
-}
-
-// Next returns the next record, skipping session control frames.
-// Sealed record batches are verified and unwrapped; trace contexts on
-// traced frames are dropped — use NextTraced to keep them.
-func (r *Reader) Next() (Record, error) {
-	tr, err := r.NextTraced()
-	return tr.Record, err
-}
-
-// NextTraced returns the next record together with its trace context
-// (zero for legacy untraced frames), skipping session control frames.
-func (r *Reader) NextTraced() (TracedRecord, error) {
-	for r.pendIdx >= len(r.pending) {
-		ftype, payload, err := r.ReadFrame()
-		if err != nil {
-			return TracedRecord{}, err
-		}
-		r.pending = r.pending[:0]
-		r.pendIdx = 0
-		switch ftype {
-		case TypeRecords:
-			for off := 0; off < len(payload); off += RecordSize {
-				rec, err := DecodeRecord(payload[off:])
-				if err != nil {
-					return TracedRecord{}, err
-				}
-				r.pending = append(r.pending, TracedRecord{Record: rec})
-			}
-		case TypeTracedRecords:
-			if r.pending, err = parseTracedPayload(payload, r.pending); err != nil {
-				return TracedRecord{}, err
-			}
-		case TypeSealed:
-			if _, r.recs, err = ParseSealed(payload, r.recs[:0]); err != nil {
-				return TracedRecord{}, err
-			}
-			for _, rec := range r.recs {
-				r.pending = append(r.pending, TracedRecord{Record: rec})
-			}
-		case TypeTracedSealed:
-			if _, r.pending, err = ParseTracedSealed(payload, r.pending); err != nil {
-				return TracedRecord{}, err
-			}
-		case TypeForwarded:
-			if _, _, r.recs, err = ParseForwarded(payload, r.recs[:0]); err != nil {
-				return TracedRecord{}, err
-			}
-			for _, rec := range r.recs {
-				r.pending = append(r.pending, TracedRecord{Record: rec})
-			}
-		case TypeTracedForwarded:
-			if _, _, r.pending, err = ParseTracedForwarded(payload, r.pending); err != nil {
-				return TracedRecord{}, err
-			}
-			// NextTraced exposes the exporter-facing context only: the
-			// forward-hop lane (Routed, Origin) is cluster-internal and
-			// must not leak into contexts that re-encode as 16-byte
-			// trace frames. The slab decoder keeps the full context.
-			for i := range r.pending {
-				r.pending[i].Ctx.Routed = 0
-				r.pending[i].Ctx.Origin = 0
-			}
-		case TypeHello, TypeAck, TypeGossip, TypeHandback:
-			// control, gossip and handback frames carry no records
-		}
-	}
-	tr := r.pending[r.pendIdx]
-	r.pendIdx++
-	return tr, nil
 }

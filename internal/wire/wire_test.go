@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -27,6 +28,67 @@ func sampleRecords(n int) []Record {
 	return recs
 }
 
+// slabTraced pairs a slab's records with their contexts (zero where the
+// slab has no context lane).
+func slabTraced(s *Slab) []TracedRecord {
+	trs := make([]TracedRecord, len(s.Recs))
+	for i, rec := range s.Recs {
+		trs[i].Record = rec
+		if s.Ctxs != nil {
+			trs[i].Ctx = s.Ctxs[i]
+		}
+	}
+	return trs
+}
+
+// decodePayload decodes one record frame payload into a standalone
+// slab and returns its records paired with their contexts.
+func decodePayload(ftype uint8, payload []byte) (origin, seq uint64, trs []TracedRecord, err error) {
+	var s Slab
+	origin, seq, err = s.AppendPayload(ftype, payload)
+	return origin, seq, slabTraced(&s), err
+}
+
+// readRecords reads frames until an error or until it holds at least
+// limit records, decoding every record frame with Slab.AppendPayload
+// and skipping control frames. A clean end of stream is io.EOF.
+func readRecords(r *Reader, limit int) ([]TracedRecord, error) {
+	var out []TracedRecord
+	for len(out) < limit {
+		ftype, payload, err := r.ReadFrame()
+		if err != nil {
+			return out, err
+		}
+		if _, ok := FrameLayout(ftype); !ok {
+			continue
+		}
+		_, _, trs, err := decodePayload(ftype, payload)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, trs...)
+	}
+	return out, nil
+}
+
+// recordsOf drops the contexts.
+func recordsOf(trs []TracedRecord) []Record {
+	recs := make([]Record, len(trs))
+	for i := range trs {
+		recs[i] = trs[i].Record
+	}
+	return recs
+}
+
+// untraced pairs records with zero contexts.
+func untraced(recs []Record) []TracedRecord {
+	trs := make([]TracedRecord, len(recs))
+	for i, rec := range recs {
+		trs[i].Record = rec
+	}
+	return trs
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	for _, r := range sampleRecords(10) {
 		b := AppendRecord(nil, r)
@@ -44,7 +106,7 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTripAndStreamReader(t *testing.T) {
-	recs := sampleRecords(2 * MaxRecordsPerFrame / 3 * 2) // forces 2 frames via Writer
+	recs := sampleRecords(2 * MaxRecords(TypeRecords) / 3 * 2) // forces 2 frames via Writer
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	if err := w.WriteRecords(recs); err != nil {
@@ -59,25 +121,25 @@ func TestFrameRoundTripAndStreamReader(t *testing.T) {
 	if w.Frames() < 2 {
 		t.Fatalf("expected multi-frame split, got %d frames", w.Frames())
 	}
-	r := NewReader(&buf)
+	trs, err := readRecords(NewReader(&buf), math.MaxInt)
+	if err != io.EOF {
+		t.Fatalf("want clean EOF at frame boundary, got %v", err)
+	}
+	if len(trs) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(trs), len(recs))
+	}
 	for i, want := range recs {
-		got, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got != want {
+		if got := trs[i].Record; got != want {
 			t.Fatalf("record %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("want clean EOF at frame boundary, got %v", err)
-	}
 }
 
-func TestParseFrameDatagram(t *testing.T) {
+func TestDatagramFrameDecode(t *testing.T) {
 	recs := sampleRecords(5)
 	b := AppendFrame(nil, recs)
-	got, n, err := ParseFrame(b)
+	var s Slab
+	n, err := s.AppendDatagramFrame(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +147,7 @@ func TestParseFrameDatagram(t *testing.T) {
 		t.Fatalf("consumed %d of %d bytes", n, len(b))
 	}
 	for i := range recs {
-		if got[i] != recs[i] {
+		if s.Recs[i] != recs[i] {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
@@ -102,13 +164,14 @@ func TestFramingErrors(t *testing.T) {
 		"truncated payload": good[:HeaderSize+RecordSize-1],
 	}
 	for name, b := range cases {
-		if _, _, err := ParseFrame(b); !errors.Is(err, ErrBadFrame) {
+		var s Slab
+		if _, err := s.AppendDatagramFrame(b); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: want ErrBadFrame, got %v", name, err)
 		}
 	}
 	// Stream reader: EOF mid-frame must not look like a clean end.
 	r := NewReader(bytes.NewReader(good[:HeaderSize+RecordSize-1]))
-	if _, err := r.Next(); !errors.Is(err, ErrBadFrame) {
+	if _, err := readRecords(r, 1); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("stream truncation: want ErrBadFrame, got %v", err)
 	}
 }
