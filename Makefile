@@ -117,8 +117,8 @@ bench-profile:
 		-o benchjson.test
 
 ## fuzz-smoke: short fuzzing passes over the wire codec (the stream
-## readers and the record decoder under every record frame type) and
-## DDPM marking
+## readers and the record decoder under every record frame type), DDPM
+## marking and the admission gate's space-saving table
 ## (go test allows one -fuzz target per invocation)
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzRecordRoundTrip -fuzztime 5s
@@ -127,6 +127,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzTraceContext -fuzztime 5s
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzRecordPayload -fuzztime 5s
 	$(GO) test ./internal/marking/ -run xxx -fuzz FuzzDDPMMarkIdentify -fuzztime 5s
+	$(GO) test ./internal/sketch/ -run xxx -fuzz FuzzSpaceSaving -fuzztime 5s
 
 ## trace-smoke: end-to-end tracing proof on a live daemon — a traced
 ## loadgen flood must leave at least one tail-sampled block-outcome

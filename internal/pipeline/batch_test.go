@@ -16,11 +16,12 @@ import (
 func TestBatchBackpressureShedsWholeSubBatch(t *testing.T) {
 	net := topology.NewMesh2D(4)
 	gate := make(chan struct{})
-	var released atomic.Bool
+	var released, stalled atomic.Bool
 	p, err := New(Config{
 		Net: net, Shards: 1, QueueLen: 1,
 		Now: func() int64 {
 			if !released.Load() {
+				stalled.Store(true)
 				<-gate // stall the worker inside its victim group
 			}
 			return 0
@@ -37,7 +38,7 @@ func TestBatchBackpressureShedsWholeSubBatch(t *testing.T) {
 		t.Fatal("first submit rejected")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for p.C.Processed.Load() == 0 {
+	for !stalled.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up the first batch")
 		}

@@ -65,18 +65,12 @@ type Config struct {
 
 	// Sketch admission gate: before a destination earns exact per-victim
 	// state (DDPM identifier + detectors), it must look hot in a
-	// per-shard count-min sketch + space-saving heavy-hitter table.
-	// Destinations below the threshold are tallied sketch-only (a few
-	// bytes each) and counted in SketchSuppressed; crossing it
-	// materializes the victimState lazily and replays the slot's
-	// buffered records through the exact path, so admission loses no
-	// identification evidence from the moment the destination started
-	// being tracked.
-	SketchAdmit        int // records to materialize a victim (default 1 = admit on first record, the legacy behavior; negative disables the gate)
-	SketchWidth        int // count-min row width per shard, rounded up to pow2 (default 32768)
-	SketchDepth        int // count-min rows (default 4)
-	SketchHeavyHitters int // space-saving slots and victim-state cap per shard (default 512)
-	SketchDecayEvery   int // halve the sketches every N gated records per shard (default 1<<20)
+	// per-shard sketch.Gate. Below the threshold its records are tallied
+	// sketch-only and counted in SketchSuppressed; crossing it
+	// materializes the victimState and replays the gate's buffered
+	// records through the exact path (sketch.Gate states which). A
+	// shard holds at most sketch.GateSlots victim states.
+	SketchAdmit int // records to materialize a victim (default 1 = admit on first record, the legacy behavior; negative disables the gate)
 
 	// VictimTTL sweeps victims idle this long back to sketch-only
 	// state: their exact state is dropped (a final VictimSnapshot goes
@@ -168,18 +162,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.SketchAdmit == 0 {
 		c.SketchAdmit = 1
-	}
-	if c.SketchWidth <= 0 {
-		c.SketchWidth = 1 << 15
-	}
-	if c.SketchDepth <= 0 {
-		c.SketchDepth = 4
-	}
-	if c.SketchHeavyHitters <= 0 {
-		c.SketchHeavyHitters = 512
-	}
-	if c.SketchDecayEvery <= 0 {
-		c.SketchDecayEvery = 1 << 20
 	}
 	if c.Now == nil {
 		c.Now = func() int64 { return time.Now().UnixNano() }
@@ -362,19 +344,14 @@ type shard struct {
 	outs   []Outcome
 	traces []Trace
 
-	// Admission gate (nil when SketchAdmit < 0): destinations must look
-	// hot in the count-min sketch + space-saving table before they earn
-	// a victimState. Owned by the worker goroutine — no locks. gateN is
-	// the windowed-decay clock (gated records since the last Halve);
-	// lastSweep is the in-band TTL-sweep clock in cfg.Now() nanos.
-	cm        *sketch.CountMin
-	hh        *sketch.SpaceSaving[wire.Record]
-	gateN     uint64
+	// Admission gate (nil when SketchAdmit < 0), owned by the worker
+	// goroutine — no locks. lastSweep is the in-band TTL-sweep clock in
+	// cfg.Now() nanos.
+	gate      *sketch.Gate[wire.Record]
 	lastSweep int64
 
-	// Sketch occupancy, published for the admin plane: decays counts
-	// windowed Halve passes, gated mirrors hh.Len() (the worker owns hh,
-	// so concurrent readers get the mirror, not the structure).
+	// Gate occupancy mirrored after each batch for the admin plane,
+	// which must not read the worker-owned gate: decays, tracked slots.
 	decays atomic.Uint64
 	gated  atomic.Int64
 
@@ -493,8 +470,7 @@ func New(cfg Config) (*Pipeline, error) {
 			victims: make(map[topology.NodeID]*victimState),
 		}
 		if cfg.SketchAdmit > 0 && p.schemeErr == nil {
-			s.cm = sketch.NewCountMin(cfg.SketchWidth, cfg.SketchDepth)
-			s.hh = sketch.NewSpaceSaving[wire.Record](cfg.SketchHeavyHitters, cfg.SketchAdmit)
+			s.gate = sketch.NewGate[wire.Record](cfg.SketchAdmit)
 		}
 		p.shards = append(p.shards, s)
 		p.wg.Add(1)
@@ -891,7 +867,6 @@ func (p *Pipeline) processBatch(s *shard, si int, b batch) {
 		ctxs = b.slab.Ctxs[b.start:b.end]
 	}
 	n := len(recs)
-	p.C.Processed.Add(uint64(n))
 	s.pendProcessed += uint64(n)
 	fc := batchCtx{sampled: p.sampleOn && s.batches&p.sampleMask == 0, t0: b.t0}
 	s.batches++
@@ -925,7 +900,7 @@ func (p *Pipeline) processBatch(s *shard, si int, b batch) {
 				// and move on instead of retrying construction per batch.
 				fc.unbuildable += uint64(len(group))
 				k, kOut = len(group), OutcomeUndecodable
-			case s.cm != nil:
+			case s.gate != nil:
 				// Admission gate: feed records through the sketch one at a
 				// time until one materializes the victim; the crossing
 				// record onward takes the exact path below.
@@ -958,6 +933,10 @@ func (p *Pipeline) processBatch(s *shard, si int, b batch) {
 		}
 		p.traceGroup(s, si, v, gctx, srcs, outs, &fc)
 	}
+	if s.gate != nil {
+		s.gated.Store(int64(s.gate.Tracked()))
+		s.decays.Store(s.gate.Decays())
+	}
 	fc.flush(p, s)
 	if fc.sampled {
 		// One amortized observation per stage per sampled batch.
@@ -966,6 +945,9 @@ func (p *Pipeline) processBatch(s *shard, si int, b batch) {
 			p.lat[stage].observe(uint64(si), fc.dur[stage]/nn)
 		}
 	}
+	// Last, so a reader that sees Processed cover a record also sees
+	// every counter and mirror that record moved.
+	p.C.Processed.Add(uint64(n))
 }
 
 // traceGroup builds the trace of every traced record of one victim
@@ -1009,28 +991,15 @@ func (p *Pipeline) traceGroup(s *shard, si int, v topology.NodeID, ctxs []wire.T
 // sketch-only (tallied, maybe buffered, suppressed), or the freshly
 // materialized victimState when this record crossed the admission
 // threshold — after replaying the slot's earlier buffered records
-// through the exact path, so admission loses no identification
-// evidence from the moment the destination started being tracked. The
-// crossing record itself is not replayed; the caller processes it (and
-// the rest of its group) normally.
+// through the exact path (see sketch.Gate for the replay contract).
+// The crossing record itself is not replayed; the caller processes it
+// (and the rest of its group) normally.
 func (p *Pipeline) gateRecord(s *shard, v topology.NodeID, rec wire.Record, fc *batchCtx) *victimState {
-	key := uint64(v)
-	est := s.cm.Add(key)
-	if s.gateN++; s.gateN >= uint64(p.cfg.SketchDecayEvery) {
-		// Windowed decay: halving both structures ages historical mass
-		// out, so admission tracks current rates, not lifetime totals.
-		s.gateN = 0
-		s.cm.Halve()
-		s.hh.Halve()
-		s.decays.Add(1)
-	}
-	slot := s.hh.Touch(key, est, rec)
-	s.gated.Store(int64(s.hh.Len()))
-	if slot == nil || int(slot.Guaranteed()) < p.cfg.SketchAdmit {
+	if !s.gate.Offer(uint64(v), rec) {
 		fc.suppressed++
 		return nil
 	}
-	if len(s.victims) >= p.cfg.SketchHeavyHitters {
+	if len(s.victims) >= sketch.GateSlots {
 		// At the per-shard victim-state cap: keep tallying sketch-side
 		// until the TTL sweep frees a slot.
 		fc.deferred++
@@ -1038,21 +1007,11 @@ func (p *Pipeline) gateRecord(s *shard, v topology.NodeID, rec wire.Record, fc *
 	}
 	st := p.materialize(s, v)
 	fc.admitted++
-	// Replay what was buffered while the victim was sketch-only. The
-	// buffer's last element is this crossing record unless the buffer
-	// filled during a deferral — the caller processes the crossing
-	// record either way, so only replay the elements before it.
-	buf := slot.Buf
-	if n := len(buf); n > 0 && buf[n-1] == rec {
-		buf = buf[:n-1]
-	}
-	if len(buf) > 0 {
+	if buf := s.gate.Admit(uint64(v)); len(buf) > 0 {
 		fc.replayed += uint64(len(buf))
 		srcs, _ := s.scratch(len(buf))
 		p.processGroup(st, v, buf, nil, srcs, nil, fc)
 	}
-	s.hh.Remove(key)
-	s.gated.Store(int64(s.hh.Len()))
 	return st
 }
 

@@ -66,11 +66,12 @@ func TestSubmitValidation(t *testing.T) {
 func TestBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	net := topology.NewMesh2D(4)
 	gate := make(chan struct{})
-	var released atomic.Bool
+	var released, stalled atomic.Bool
 	p, err := New(Config{
 		Net: net, Shards: 1, QueueLen: 4,
 		Now: func() int64 {
 			if !released.Load() {
+				stalled.Store(true)
 				<-gate // stall the worker inside processBatch
 			}
 			return 0
@@ -84,7 +85,7 @@ func TestBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	// more fill the queue. Wait until the worker has picked one up.
 	p.Submit(rec)
 	deadline := time.Now().Add(5 * time.Second)
-	for p.C.Processed.Load() == 0 {
+	for !stalled.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up the first record")
 		}

@@ -1,14 +1,16 @@
-// Package sketch provides the probabilistic pre-identification stage
-// of the pipeline: a conservative-update count-min sketch plus a
-// space-saving heavy-hitter table over destination ids. Together they
-// answer "is this destination hot enough to deserve exact per-victim
-// state?" in O(1) per record with a few MB total, in the spirit of
+// Package sketch provides the daemon's admission Gate: a
+// conservative-update count-min sketch plus a space-saving heavy-hitter
+// table over destination ids, answering "is this destination hot
+// enough to deserve exact per-victim state (or a forward to its
+// owner)?" in O(1) per record with a few MB total, in the spirit of
 // in-network volumetric victim identification — the cheap discovery
 // pass that gates the paper's expensive exact identification (§5).
 //
-// Both structures are single-writer: the pipeline gives each shard
-// worker its own instances, so no operation here takes a lock.
+// Everything here is single-writer and takes no lock: each pipeline
+// shard owns a Gate, and the cluster tier wraps its one in a mutex.
 package sketch
+
+import "slices"
 
 // mix64 is the SplitMix64 finalizer — the per-row hash for CountMin.
 func mix64(x uint64) uint64 {
@@ -86,8 +88,8 @@ func (c *CountMin) Estimate(key uint64) uint32 {
 	return est
 }
 
-// Halve ages every cell by half — the windowed decay the pipeline runs
-// every SketchDecayEvery records, so stale scans stop looking hot.
+// Halve ages every cell by half — the Gate's windowed decay, so stale
+// scans stop looking hot.
 func (c *CountMin) Halve() {
 	for i := range c.rows {
 		c.rows[i] >>= 1
@@ -100,19 +102,43 @@ func (c *CountMin) Bytes() int { return len(c.rows) * 4 }
 // Slot is one tracked heavy-hitter candidate. Count follows the
 // space-saving rule (inherits the evicted minimum plus its own hits);
 // Errs is the inherited part, so Count-Errs is exact since insertion.
-// Buf holds the replay payloads appended while the key was tracked,
-// capped at the table's bufCap — the pipeline replays them through the
-// exact path on admission so no pre-admission record is lost.
+// Buf holds the newest min(Guaranteed(), bufCap) payloads touched
+// since insertion, for the Gate to replay; once full it is a ring
+// whose oldest element is Buf[head].
 type Slot[P any] struct {
 	Key   uint64
 	Count uint32
 	Errs  uint32
 	Buf   []P
+	head  int
 }
 
 // Guaranteed is the lower bound on the key's true count since the slot
-// was (re)inserted — the admission test the pipeline applies.
+// was (re)inserted — the Gate's admission test.
 func (s *Slot[P]) Guaranteed() uint32 { return s.Count - s.Errs }
+
+// push buffers item, overwriting the oldest element once bufCap are held.
+func (s *Slot[P]) push(item P, bufCap int) {
+	if len(s.Buf) < bufCap {
+		s.Buf = append(s.Buf, item)
+	} else if bufCap > 0 {
+		s.Buf[s.head] = item
+		if s.head++; s.head == len(s.Buf) {
+			s.head = 0
+		}
+	}
+}
+
+// ordered rotates the ring so Buf runs oldest to newest, and returns it.
+func (s *Slot[P]) ordered() []P {
+	if h := s.head; h > 0 {
+		slices.Reverse(s.Buf[:h])
+		slices.Reverse(s.Buf[h:])
+		slices.Reverse(s.Buf)
+		s.head = 0
+	}
+	return s.Buf
+}
 
 // SpaceSaving tracks the top-K candidate keys of a stream with the
 // space-saving algorithm, each slot carrying a bounded replay buffer.
@@ -134,13 +160,10 @@ type SpaceSaving[P any] struct {
 }
 
 // NewSpaceSaving builds a table with the given slot capacity (minimum
-// 1) and per-slot replay-buffer capacity (0 disables buffering).
+// 1) and per-slot replay-buffer capacity (≤ 0 disables buffering).
 func NewSpaceSaving[P any](capacity, bufCap int) *SpaceSaving[P] {
 	if capacity < 1 {
 		capacity = 1
-	}
-	if bufCap < 0 {
-		bufCap = 0
 	}
 	return &SpaceSaving[P]{
 		slots:  make([]Slot[P], 0, capacity),
@@ -152,60 +175,54 @@ func NewSpaceSaving[P any](capacity, bufCap int) *SpaceSaving[P] {
 // Len returns the number of tracked keys.
 func (t *SpaceSaving[P]) Len() int { return len(t.slots) }
 
-// Touch counts one occurrence of key, appending item to its replay
-// buffer while tracked (and under the buffer cap). est is the caller's
-// count-min estimate for the key, consulted only when a full table
-// would need an eviction. Returns the key's slot, or nil when the key
-// is not tracked (table full and the estimate no hotter than the
-// current minimum).
+// Touch counts one occurrence of key, buffering item while tracked.
+// est is the caller's count-min estimate for the key, consulted only
+// when a full table would need an eviction. Returns the key's slot, or
+// nil when the key is not tracked (table full and the estimate no
+// hotter than the current minimum).
 func (t *SpaceSaving[P]) Touch(key uint64, est uint32, item P) *Slot[P] {
 	if i, ok := t.idx[key]; ok {
 		s := &t.slots[i]
 		s.Count++
-		if len(s.Buf) < t.bufCap {
-			s.Buf = append(s.Buf, item)
-		}
+		s.push(item, t.bufCap)
 		return s
 	}
-	if len(t.slots) < cap(t.slots) {
-		t.slots = append(t.slots, Slot[P]{Key: key, Count: 1})
-		i := len(t.slots) - 1
-		t.idx[key] = i
-		s := &t.slots[i]
-		if t.bufCap > 0 {
-			if s.Buf == nil {
-				s.Buf = make([]P, 0, t.bufCap)
+	var s *Slot[P]
+	if n := len(t.slots); n < cap(t.slots) {
+		// Reslice rather than append: slots[n] may hold the buffer of a
+		// removed slot, kept for reuse.
+		t.slots = t.slots[:n+1]
+		t.idx[key] = n
+		s = &t.slots[n]
+		s.Errs, s.Count = 0, 1
+	} else {
+		if est <= t.minHint {
+			return nil // certainly no hotter than the coldest slot
+		}
+		mi := 0
+		for i := 1; i < len(t.slots); i++ {
+			if t.slots[i].Count < t.slots[mi].Count {
+				mi = i
 			}
-			s.Buf = append(s.Buf, item)
 		}
-		return s
-	}
-	if est <= t.minHint {
-		return nil // certainly no hotter than the coldest slot
-	}
-	mi := 0
-	for i := 1; i < len(t.slots); i++ {
-		if t.slots[i].Count < t.slots[mi].Count {
-			mi = i
+		min := t.slots[mi].Count
+		t.minHint = min
+		if est <= min {
+			return nil
 		}
+		// Space-saving eviction: the newcomer inherits the minimum
+		// count as its error bound and starts a fresh replay buffer.
+		s = &t.slots[mi]
+		delete(t.idx, s.Key)
+		t.idx[key] = mi
+		s.Errs, s.Count = min, min+1
 	}
-	min := t.slots[mi].Count
-	t.minHint = min
-	if est <= min {
-		return nil
-	}
-	// Space-saving eviction: the newcomer inherits the minimum count as
-	// its error bound and starts a fresh replay buffer.
-	s := &t.slots[mi]
-	delete(t.idx, s.Key)
-	t.idx[key] = mi
 	s.Key = key
-	s.Errs = min
-	s.Count = min + 1
-	s.Buf = s.Buf[:0]
-	if t.bufCap > 0 {
-		s.Buf = append(s.Buf, item)
+	if s.Buf == nil && t.bufCap > 0 {
+		s.Buf = make([]P, 0, t.bufCap)
 	}
+	s.Buf, s.head = s.Buf[:0], 0
+	s.push(item, t.bufCap)
 	return s
 }
 
@@ -217,9 +234,8 @@ func (t *SpaceSaving[P]) Get(key uint64) *Slot[P] {
 	return nil
 }
 
-// Remove frees key's slot (the pipeline calls it on admission, when
-// the key graduates to exact state). The freed slot's replay buffer is
-// kept for reuse. Reports whether the key was tracked.
+// Remove frees key's slot, keeping its replay buffer for the next
+// inserted key, and reports whether the key was tracked.
 func (t *SpaceSaving[P]) Remove(key uint64) bool {
 	i, ok := t.idx[key]
 	if !ok {
@@ -231,20 +247,16 @@ func (t *SpaceSaving[P]) Remove(key uint64) bool {
 	if i != last {
 		t.slots[i] = t.slots[last]
 		t.idx[t.slots[i].Key] = i
-		t.slots[last].Buf = freed
-	} else {
-		t.slots[i].Buf = freed
 	}
-	t.slots[last].Key = 0
-	t.slots[last].Count = 0
-	t.slots[last].Errs = 0
+	t.slots[last] = Slot[P]{Buf: freed}
 	t.slots = t.slots[:last]
 	t.minHint = 0 // the table is no longer full; hint re-derives on next scan
 	return true
 }
 
-// Halve ages every slot by half, dropping slots that reach zero —
-// run alongside CountMin.Halve so the two stay comparable.
+// Halve ages every slot by half, dropping slots that reach zero and
+// trimming each buffer to the newest Guaranteed() items it vouches
+// for — run alongside CountMin.Halve so the two stay comparable.
 func (t *SpaceSaving[P]) Halve() {
 	for i := 0; i < len(t.slots); {
 		s := &t.slots[i]
@@ -253,6 +265,10 @@ func (t *SpaceSaving[P]) Halve() {
 		if s.Count == 0 {
 			t.Remove(s.Key)
 			continue // Remove swapped a new slot into i
+		}
+		if g := int(s.Guaranteed()); len(s.Buf) > g {
+			buf := s.ordered()
+			s.Buf = buf[:copy(buf, buf[len(buf)-g:])]
 		}
 		i++
 	}

@@ -173,3 +173,83 @@ func TestSpaceSavingHalveDropsCold(t *testing.T) {
 		t.Fatalf("hot key after Halve = %+v, want Count 4", s)
 	}
 }
+
+// TestSpaceSavingRemoveReusesBuffer: a freed slot's replay buffer is
+// reused by the next inserted key, so the Gate's admit-and-refill
+// cycle allocates nothing.
+func TestSpaceSavingRemoveReusesBuffer(t *testing.T) {
+	ss := NewSpaceSaving[int](4, 8)
+	for k := uint64(1); k <= 4; k++ {
+		ss.Touch(k, 1, int(k))
+	}
+	k := uint64(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		ss.Remove(k)
+		ss.Touch(k, 1, int(k))
+		k = k%4 + 1
+	})
+	if allocs != 0 {
+		t.Fatalf("Remove→Touch allocates %.1f times, want 0", allocs)
+	}
+}
+
+// FuzzSpaceSaving drives a small table through touch, halve and remove
+// operations decoded from the input, checking after every operation
+// that the index matches the slots and that every buffer holds exactly
+// the newest min(Guaranteed, bufCap) touches of its key.
+func FuzzSpaceSaving(f *testing.F) {
+	f.Add([]byte{3, 2, 0, 4, 8, 0, 4, 1, 12, 0, 2, 4, 4})
+	f.Add([]byte{1, 4, 0, 0, 0, 0, 0, 1, 4, 8, 12, 16, 1, 0, 0, 2})
+	f.Add([]byte{2, 3, 0, 4, 0, 4, 0, 8, 12, 16, 20, 24, 1, 8, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 258 {
+			return // 256 operations reach every table state worth checking
+		}
+		capacity, bufCap := int(data[0]%8)+1, int(data[1]%6)
+		cm := NewCountMin(16, 2) // narrow, so estimates collide and slots evict
+		ss := NewSpaceSaving[int](capacity, bufCap)
+		touches := map[uint64][]int{} // every touch of each key, oldest first
+		for i, b := range data[2:] {
+			key := uint64(b>>2) % 12
+			switch b & 3 {
+			case 0, 1:
+				if s := ss.Touch(key, cm.Add(key), i); s != nil {
+					touches[key] = append(touches[key], i)
+				} else if ss.Get(key) != nil {
+					t.Fatalf("op %d: Touch(%d) = nil for a tracked key", i, key)
+				}
+			case 2:
+				cm.Halve()
+				ss.Halve()
+			case 3:
+				tracked := ss.Get(key) != nil
+				if ss.Remove(key) != tracked {
+					t.Fatalf("op %d: Remove(%d) disagrees with Get", i, key)
+				}
+			}
+			if len(ss.idx) != len(ss.slots) || len(ss.slots) > capacity {
+				t.Fatalf("op %d: %d index entries, %d slots, capacity %d", i, len(ss.idx), len(ss.slots), capacity)
+			}
+			for j := range ss.slots {
+				s := &ss.slots[j]
+				if at, ok := ss.idx[s.Key]; !ok || at != j {
+					t.Fatalf("op %d: slot %d key %d indexed at %d (%v)", i, j, s.Key, at, ok)
+				}
+				if s.Count < s.Errs {
+					t.Fatalf("op %d: key %d count %d below errs %d", i, s.Key, s.Count, s.Errs)
+				}
+				n := min(int(s.Guaranteed()), bufCap)
+				if len(s.Buf) != n {
+					t.Fatalf("op %d: key %d buffers %d items, want min(guaranteed %d, cap %d)", i, s.Key, len(s.Buf), s.Guaranteed(), bufCap)
+				}
+				hist := touches[s.Key]
+				newest := hist[len(hist)-n:]
+				for k := range newest {
+					if got := s.Buf[(s.head+k)%n]; got != newest[k] {
+						t.Fatalf("op %d: key %d buffer %v (head %d), want newest touches %v", i, s.Key, s.Buf, s.head, newest)
+					}
+				}
+			}
+		}
+	})
+}
