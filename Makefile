@@ -118,7 +118,8 @@ bench-profile:
 
 ## fuzz-smoke: short fuzzing passes over the wire codec (the stream
 ## readers and the record decoder under every record frame type), DDPM
-## marking and the admission gate's space-saving table
+## marking, the admission gate's space-saving table and the cluster
+## gossip body decoder
 ## (go test allows one -fuzz target per invocation)
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzRecordRoundTrip -fuzztime 5s
@@ -128,6 +129,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run xxx -fuzz FuzzRecordPayload -fuzztime 5s
 	$(GO) test ./internal/marking/ -run xxx -fuzz FuzzDDPMMarkIdentify -fuzztime 5s
 	$(GO) test ./internal/sketch/ -run xxx -fuzz FuzzSpaceSaving -fuzztime 5s
+	$(GO) test ./internal/cluster/ -run xxx -fuzz FuzzGossipMsg -fuzztime 5s
 
 ## trace-smoke: end-to-end tracing proof on a live daemon — a traced
 ## loadgen flood must leave at least one tail-sampled block-outcome

@@ -29,13 +29,15 @@ import (
 //	        then per source: node(8) count(8)
 //	senderAddr: len uint16 + bytes (the sender's advertised ingest address)
 //	nRoster uint16, then per entry: len uint16 + bytes
-//	senderAdmin: len uint16 + bytes (v3+ only: the sender's admin-plane
-//	            HTTP address, empty until its listener is bound)
+//	senderAdmin: len uint16 + bytes (the sender's admin-plane HTTP
+//	            address, empty until its listener is bound)
 //
-// Replicas with the expired flag are tombstones: the final snapshot of
-// a victim whose owner's TTL sweep retired it, shipped so the backup
-// drops its stored replica instead of re-seeding a detector the owner
-// deliberately let go.
+// Replicas are backup snapshots of victims the sender owns, for their
+// ring successor, and outbox entries (outbox.go): handbacks of victims
+// the receiver owns, and tombstones. A tombstone has the expired flag
+// and no sources: its victim's owner let the TTL sweep retire it, and
+// the backup drops its stored replica instead of re-seeding a detector
+// the owner deliberately let go.
 //
 // SenderAddr and Roster are what make runtime join work: a joiner that
 // knows one live member learns every other alive member's address from
@@ -47,7 +49,7 @@ type gossipMsg struct {
 	Sender      uint64
 	RingVer     uint64
 	SenderAddr  string
-	SenderAdmin string // admin-plane HTTP address; "" on v2 messages
+	SenderAdmin string // admin-plane HTTP address
 	Digest      []digestEntry
 	Ops         []originOp
 	Replicas    []pipeline.VictimSnapshot
@@ -69,11 +71,9 @@ type originOp struct {
 }
 
 const (
-	// gossipVersion 3 appends the sender's admin-plane address after the
-	// roster; a v2 message (no admin section) still parses, so a mixed
-	// fleet keeps gossiping through a rolling upgrade.
+	// gossipVersion is the only layout parsed; a body of any other
+	// version is rejected.
 	gossipVersion   = 3
-	gossipVersionV2 = 2
 	gossipFixedSize = 1 + 8 + 8
 	digestEntrySize = 16
 	opSize          = 49
@@ -124,8 +124,7 @@ func appendGossipMsg(b []byte, m *gossipMsg) []byte {
 	return b
 }
 
-// appendSnapshot encodes one victim snapshot (the replica layout shared
-// by gossip messages and handback frames).
+// appendSnapshot encodes one victim snapshot (one gossip replica).
 func appendSnapshot(b []byte, r *pipeline.VictimSnapshot) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(int64(r.Victim)))
 	var fl byte
@@ -150,6 +149,9 @@ func appendSnapshot(b []byte, r *pipeline.VictimSnapshot) []byte {
 func parseSnapshot(p []byte) (pipeline.VictimSnapshot, []byte, error) {
 	if len(p) < replicaFixed {
 		return pipeline.VictimSnapshot{}, nil, errGossipTrunc
+	}
+	if p[8]&^3 != 0 {
+		return pipeline.VictimSnapshot{}, nil, fmt.Errorf("cluster: replica flags %#x", p[8])
 	}
 	snap := pipeline.VictimSnapshot{
 		Victim:      topology.NodeID(int64(binary.BigEndian.Uint64(p[0:8]))),
@@ -177,9 +179,8 @@ func parseGossipMsg(b []byte) (*gossipMsg, error) {
 	if len(b) < gossipFixedSize+6 {
 		return nil, errGossipTrunc
 	}
-	ver := b[0]
-	if ver != gossipVersion && ver != gossipVersionV2 {
-		return nil, fmt.Errorf("cluster: gossip version %d (want %d or %d)", ver, gossipVersionV2, gossipVersion)
+	if b[0] != gossipVersion {
+		return nil, fmt.Errorf("cluster: gossip version %d (want %d)", b[0], gossipVersion)
 	}
 	m := &gossipMsg{
 		Sender:  binary.BigEndian.Uint64(b[1:9]),
@@ -217,6 +218,9 @@ func parseGossipMsg(b []byte) (*gossipMsg, error) {
 		e, err := take(opSize)
 		if err != nil {
 			return nil, err
+		}
+		if e[48]&^1 != 0 {
+			return nil, fmt.Errorf("cluster: op flags %#x", e[48])
 		}
 		m.Ops = append(m.Ops, originOp{
 			Origin: binary.BigEndian.Uint64(e[0:8]),
@@ -267,10 +271,8 @@ func parseGossipMsg(b []byte) (*gossipMsg, error) {
 		}
 		m.Roster = append(m.Roster, addr)
 	}
-	if ver >= gossipVersion {
-		if m.SenderAdmin, err = takeStr(); err != nil {
-			return nil, err
-		}
+	if m.SenderAdmin, err = takeStr(); err != nil {
+		return nil, err
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("cluster: %d trailing gossip bytes", len(p))
@@ -282,10 +284,11 @@ func parseGossipMsg(b []byte) (*gossipMsg, error) {
 // by before it would no longer fit a wire frame. addrBytes is the
 // pre-computed size of the sender-addr and roster sections, which are
 // mandatory and therefore reserved up front.
-type gossipBudget struct{ left int }
+type gossipBudget struct{ left, max int }
 
 func newGossipBudget(digestEntries, addrBytes int) gossipBudget {
-	return gossipBudget{left: wire.MaxGossipBody - gossipFixedSize - 6 - digestEntries*digestEntrySize - addrBytes}
+	n := wire.MaxGossipBody - gossipFixedSize - 6 - digestEntries*digestEntrySize - addrBytes
+	return gossipBudget{left: n, max: n}
 }
 
 // rosterBytes is the encoded size of the sender-addr, roster and
@@ -313,4 +316,11 @@ func (g *gossipBudget) fitsReplica(snap *pipeline.VictimSnapshot) bool {
 	}
 	g.left -= n
 	return true
+}
+
+// oversize reports whether snap could not fit even a message carrying
+// nothing else. Such a snapshot never ships (chunking would need a
+// mergeable state encoding); callers keep it local and count it.
+func (g *gossipBudget) oversize(snap *pipeline.VictimSnapshot) bool {
+	return replicaFixed+len(snap.Sources)*sourceSize > g.max
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,38 +13,6 @@ import (
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
-
-func TestHandbackMsgCodecRoundTrip(t *testing.T) {
-	m := &handbackMsg{
-		Sender: 0xFEED,
-		Seq:    42,
-		Snap: pipeline.VictimSnapshot{
-			Victim: 17, Alarmed: true, Undecodable: 3,
-			Sources: []pipeline.SourceCount{{Node: 2, Count: 900}, {Node: 5, Count: 1}},
-		},
-	}
-	got, err := parseHandbackMsg(appendHandbackMsg(nil, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("round trip mangled:\n got %+v\nwant %+v", got, m)
-	}
-	b := appendHandbackMsg(nil, m)
-	for cut := 1; cut < len(b); cut++ {
-		if _, err := parseHandbackMsg(b[:len(b)-cut]); err == nil {
-			t.Fatalf("truncation by %d bytes parsed", cut)
-		}
-	}
-	if _, err := parseHandbackMsg(append(appendHandbackMsg(nil, m), 0)); err == nil {
-		t.Fatal("trailing byte parsed")
-	}
-	bad := appendHandbackMsg(nil, m)
-	bad[0] = handbackVersion + 1
-	if _, err := parseHandbackMsg(bad); err == nil {
-		t.Fatal("future version parsed")
-	}
-}
 
 // TestRecomputeMembershipEqualSizeSwap is the regression test for the
 // sweep comparing alive sets only by example when sizes matched: one
@@ -177,15 +146,89 @@ func TestGossipRejectsForgedSender(t *testing.T) {
 	}
 }
 
+// pipeDial returns a Config.Dial that reaches each node in nodes over an
+// in-memory pipe, answered the way the daemon's serveGossip answers.
+// Other addresses fail to dial, and so does every address while up is
+// non-nil and false.
+func pipeDial(nodes map[string]*Node, up *atomic.Bool) func(string) (net.Conn, error) {
+	return func(addr string) (net.Conn, error) {
+		n := nodes[addr]
+		if n == nil || (up != nil && !up.Load()) {
+			return nil, errors.New("test: unreachable")
+		}
+		cli, srv := net.Pipe()
+		go func() {
+			defer srv.Close()
+			rd := wire.NewReader(srv)
+			for {
+				ftype, payload, err := rd.ReadFrame()
+				if err != nil || ftype != wire.TypeGossip {
+					return
+				}
+				body, err := wire.ParseGossip(payload)
+				if err != nil {
+					return
+				}
+				resp, err := n.HandleGossip(body)
+				if err != nil {
+					return
+				}
+				if _, err := srv.Write(wire.AppendGossip(nil, resp)); err != nil {
+					return
+				}
+			}
+		}()
+		return cli, nil
+	}
+}
+
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// pendingHandback reads the outbox's handback entry for v.
+func pendingHandback(n *Node, v topology.NodeID) (pipeline.VictimSnapshot, bool) {
+	n.out.mu.Lock()
+	defer n.out.mu.Unlock()
+	e, ok := n.out.entries[outboxKey{victim: v}]
+	return e.snap, ok
+}
+
+func outboxLen(n *Node) int {
+	n.out.mu.Lock()
+	defer n.out.mu.Unlock()
+	return len(n.out.entries)
+}
+
+func hasReplica(m *gossipMsg, v topology.NodeID) bool {
+	for _, r := range m.Replicas {
+		if r.Victim == v {
+			return true
+		}
+	}
+	return false
+}
+
 // TestHandbackOnOwnershipLoss: when a ring change moves a victim away,
-// its exact state is detached through the shard queue; with the new
-// owner unreachable the shipment falls back to the replica store —
-// delayed, never lost.
+// its exact state is detached through the shard queue into the outbox.
+// While the new owner is unreachable the snapshot waits there, intact
+// and unseeded; the first round that reaches the owner delivers it.
 func TestHandbackOnOwnershipLoss(t *testing.T) {
 	var now atomic.Int64
-	now.Store(1)
+	// gossipWith derives the pipe's I/O deadline from this clock.
+	now.Store(time.Now().UnixNano())
 	addrs := []string{"10.9.1.1:1", "10.9.1.2:1", "10.9.1.3:1"}
-	n, p := newTestNode(t, addrs[0], []string{addrs[1]}, 901, &now)
+	owner, powner := newTestNode(t, addrs[2], []string{addrs[0], addrs[1]}, 903, &now)
+	var up atomic.Bool
+	n, p := newTestNodeOn(t, topology.NewTorus2D(8), addrs[0], []string{addrs[1]}, 901, &now,
+		pipeDial(map[string]*Node{addrs[2]: owner}, &up))
 
 	// Find a victim owned here on the two-member ring that the
 	// three-member ring assigns to the joiner.
@@ -193,7 +236,7 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 	joined := NewRing(2, sortedIDs(n.self, MemberID(addrs[1]), MemberID(addrs[2])), n.cfg.VNodes)
 	victim := topology.NodeID(-1)
 	for v := topology.NodeID(0); v < 64; v++ {
-		if ring.Owner(v) == n.self && joined.Owner(v) == MemberID(addrs[2]) {
+		if ring.Owner(v) == n.self && joined.Owner(v) == owner.self {
 			victim = v
 			break
 		}
@@ -207,25 +250,15 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 		s.Append(wire.Record{Victim: victim, MF: uint16(i), Topo: p.TopoID()})
 	}
 	p.SubmitSlab(s)
-	// Wait on the victim's own tallies, not on Processed: workers count
-	// a batch as processed when they start it, before the victim state
-	// exists, so ExportVictim could still miss or see it partial.
-	deadline := time.Now().Add(5 * time.Second)
-	want, ok := p.ExportVictim(victim)
-	for !ok || want.Identified()+want.Undecodable < 10 {
-		if time.Now().After(deadline) {
-			if !ok {
-				t.Fatal("no exact state before the ring change")
-			}
-			t.Fatal("records never processed")
-		}
-		time.Sleep(time.Millisecond)
+	var want pipeline.VictimSnapshot
+	eventually(t, "the records to be tallied", func() bool {
+		var ok bool
 		want, ok = p.ExportVictim(victim)
-	}
+		return ok && want.Identified()+want.Undecodable == 10
+	})
 
-	// The joiner appears; the sweep rebuilds the ring and must detach
-	// the departing victim. Every dial fails in this harness, so the
-	// handback loop exhausts its attempts and files the fallback.
+	// The joiner appears; the sweep rebuilds the ring and detaches the
+	// departing victim into the outbox.
 	if n.addPeer(addrs[2]) == nil {
 		t.Fatal("addPeer rejected the joiner")
 	}
@@ -233,13 +266,16 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 	if got := n.Ring().Version(); got != 2 {
 		t.Fatalf("ring version %d, want 2", got)
 	}
+	eventually(t, "the detached snapshot to reach the outbox", func() bool {
+		_, ok := pendingHandback(n, victim)
+		return ok
+	})
 
-	deadline = time.Now().Add(5 * time.Second)
-	for n.handbackFailures.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("handback never failed over to the replica store")
+	// A round while every dial fails leaves it there.
+	for _, pr := range n.members.Load().list {
+		if err := n.gossipWith(pr); err == nil {
+			t.Fatalf("gossip with %s succeeded over a dead network", pr.addr)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if _, ok := p.ExportVictim(victim); ok {
 		t.Fatal("detached victim still has exact state")
@@ -247,136 +283,455 @@ func TestHandbackOnOwnershipLoss(t *testing.T) {
 	if got := p.C.VictimsDetached.Load(); got != 1 {
 		t.Fatalf("VictimsDetached = %d, want 1", got)
 	}
-	n.mu.Lock()
-	stored, ok := n.replicas[victim]
-	seeded := n.seeded[victim]
-	n.mu.Unlock()
-	if !ok {
-		t.Fatal("failed handback did not store a replica")
+	got, ok := pendingHandback(n, victim)
+	if !ok || !reflect.DeepEqual(got.Sources, want.Sources) || got.Undecodable != want.Undecodable {
+		t.Fatalf("outbox snapshot mangled:\n got %+v ok=%v\nwant %+v", got, ok, want)
 	}
+	n.out.mu.Lock()
+	seeded := n.out.seeded[victim]
+	n.out.mu.Unlock()
 	if seeded {
 		t.Fatal("detached victim still latched as seeded")
 	}
-	if !reflect.DeepEqual(stored.Sources, want.Sources) || stored.Undecodable != want.Undecodable {
-		t.Fatalf("fallback replica mangled:\n got %+v\nwant %+v", stored, want)
+	n.mu.Lock()
+	_, stranded := n.replicas[victim]
+	n.mu.Unlock()
+	if stranded {
+		t.Fatal("handback filed as a stored replica, which nothing ships")
 	}
 	if got := n.handbacksOut.Load(); got != 0 {
 		t.Fatalf("handbacksOut = %d, want 0 (owner unreachable)", got)
 	}
+
+	// The owner becomes reachable: the next round delivers the snapshot.
+	up.Store(true)
+	now.Store(time.Now().UnixNano())
+	if err := n.gossipWith(n.members.Load().byID[owner.self]); err != nil {
+		t.Fatalf("gossip with the owner: %v", err)
+	}
+	if _, ok := pendingHandback(n, victim); ok {
+		t.Fatal("handback still in the outbox after a complete exchange")
+	}
+	if out, in := n.handbacksOut.Load(), owner.handbacksIn.Load(); out != 1 || in != 1 {
+		t.Fatalf("handbacks out=%d in=%d, want 1/1", out, in)
+	}
+	eventually(t, "the handback to seed at the owner", func() bool {
+		got, ok := powner.ExportVictim(victim)
+		return ok && reflect.DeepEqual(got.Sources, want.Sources) && got.Undecodable == want.Undecodable
+	})
 }
 
-// TestHandbackDelivery: the full wire exchange — the interim owner
-// ships a detached snapshot over a TypeHandback frame, the rejoined
-// owner absorbs it through HandleHandback and, owning the victim,
-// seeds it under the epoch latch.
-func TestHandbackDelivery(t *testing.T) {
-	var now atomic.Int64
-	// The injected clock must sit at wall time here: shipOnce derives
-	// its real-socket I/O deadline from it, and a clock near zero puts
-	// the deadline decades in the past.
+// handbackPair builds an interim owner that reaches the victim's owner
+// over an in-memory gossip pipe, and picks a victim the owner owns.
+func handbackPair(t *testing.T) (shipper, recv *Node, precv *pipeline.Pipeline, victim topology.NodeID) {
+	t.Helper()
+	now := new(atomic.Int64)
+	// gossipWith derives the pipe's I/O deadline from this clock.
 	now.Store(time.Now().UnixNano())
 	addrs := []string{"10.9.2.1:1", "10.9.2.2:1"}
-
-	// The receiver: a node that owns `victim` on the shared two-member
-	// ring. Its HandleHandback is driven directly through an in-memory
-	// pipe server below.
-	recv, precv := newTestNode(t, addrs[1], []string{addrs[0]}, 952, &now)
-
+	recv, precv = newTestNode(t, addrs[1], []string{addrs[0]}, 952, now)
+	shipper, _ = newTestNodeOn(t, topology.NewTorus2D(8), addrs[0], []string{addrs[1]}, 951, now,
+		pipeDial(map[string]*Node{addrs[1]: recv}, nil))
 	ring := recv.Ring()
-	victim := topology.NodeID(-1)
 	for v := topology.NodeID(0); v < 64; v++ {
 		if ring.Owner(v) == recv.self {
-			victim = v
-			break
+			return shipper, recv, precv, v
 		}
 	}
-	if victim < 0 {
-		t.Fatal("receiver owns nothing")
-	}
+	t.Fatal("receiver owns nothing")
+	return
+}
 
-	// A minimal TypeHandback server over a real socket, answering like
-	// the daemon's serveHandback: parse, absorb, ack.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		rd := wire.NewReader(conn)
-		for {
-			ftype, payload, err := rd.ReadFrame()
-			if err != nil || ftype != wire.TypeHandback {
-				return
-			}
-			body, err := wire.ParseHandback(payload)
-			if err != nil {
-				return
-			}
-			ack, err := recv.HandleHandback(body)
-			if err != nil {
-				return
-			}
-			conn.Write(wire.AppendAck(nil, ack))
-		}
-	}()
-
-	pship, err := pipeline.New(pipeline.Config{
-		Net: topology.NewTorus2D(8), Shards: 2, QueueLen: 1 << 12,
-		BlockThreshold: 1 << 30, BlockTTL: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipper, err := New(pship, Config{
-		Self: addrs[0], Peers: []string{addrs[1]},
-		GossipInterval: time.Hour, FailAfter: time.Second,
-		Incarnation: 951,
-		Dial:        func(string) (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) },
-		Now:         now.Load,
-	})
-	if err != nil {
-		pship.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		shipper.Close()
-		pship.Close()
-	})
-
-	snap := pipeline.VictimSnapshot{
+// TestHandbackDelivery: a detached snapshot rides the interim owner's
+// next gossip request; the owner absorbs it through HandleGossip and,
+// owning the victim, seeds it under the epoch latch.
+func TestHandbackDelivery(t *testing.T) {
+	shipper, recv, precv, victim := handbackPair(t)
+	shipper.fileHandback(pipeline.VictimSnapshot{
 		Victim: victim, Alarmed: true, Undecodable: 4,
 		Sources: []pipeline.SourceCount{{Node: 3, Count: 120}},
+	}, true)
+	if err := shipper.gossipWith(shipper.members.Load().byID[recv.self]); err != nil {
+		t.Fatalf("gossip exchange: %v", err)
 	}
-	shipper.queueHandback(snap, true)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for shipper.handbacksOut.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("handback never acked (failures=%d)", shipper.handbackFailures.Load())
-		}
-		time.Sleep(time.Millisecond)
+	if got := shipper.handbacksOut.Load(); got != 1 {
+		t.Fatalf("shipper handbacksOut = %d, want 1", got)
 	}
 	if got := recv.handbacksIn.Load(); got != 1 {
 		t.Fatalf("receiver handbacksIn = %d, want 1", got)
 	}
-	for {
+	eventually(t, "the handback to seed at the owner", func() bool {
 		got, ok := precv.ExportVictim(victim)
-		if ok && got.Identified() == 120 && got.Undecodable == 4 && got.Alarmed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("handback never seeded at the owner: %+v ok=%v", got, ok)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return ok && got.Identified() == 120 && got.Undecodable == 4 && got.Alarmed
+	})
 	if got := recv.seedsApplied.Load(); got != 1 {
 		t.Fatalf("receiver seedsApplied = %d, want 1", got)
 	}
+}
+
+// TestHandbackTraceSharesID: the shipper's detach and ship events and
+// the receiver's seed event carry one flight-recorder id, which each
+// side derives on its own, so the fleet trace fan-out stitches them.
+func TestHandbackTraceSharesID(t *testing.T) {
+	shipper, recv, _, victim := handbackPair(t)
+	snap := pipeline.VictimSnapshot{
+		Victim: victim, Undecodable: 2,
+		Sources: []pipeline.SourceCount{{Node: 5, Count: 40}},
+	}
+	shipper.fileHandback(snap, true)
+	if err := shipper.gossipWith(shipper.members.Load().byID[recv.self]); err != nil {
+		t.Fatalf("gossip exchange: %v", err)
+	}
+	ids := func(n *Node) []uint64 {
+		f := pipeline.AllTraces()
+		f.Outcome, f.HasOut = pipeline.OutcomeHandback, true
+		var out []uint64
+		for _, tr := range n.p.Recorder().Snapshot(f) {
+			out = append(out, tr.ID)
+		}
+		return out
+	}
+	want := handbackID(shipper.self, &snap)
+	if got := ids(shipper); !reflect.DeepEqual(got, []uint64{want, want}) {
+		t.Fatalf("shipper handback events %x, want detach and ship under %x", got, want)
+	}
+	if got := ids(recv); !reflect.DeepEqual(got, []uint64{want}) {
+		t.Fatalf("receiver handback events %x, want the seed under %x", got, want)
+	}
+}
+
+// TestHandbackFiledInFlightSurvives: a second detach of a victim whose
+// handback is on an in-flight request adds to the pending entry, and
+// the completed exchange must not clear it — the next round ships the
+// sum, which covers both detaches' records.
+func TestHandbackFiledInFlightSurvives(t *testing.T) {
+	shipper, recv, precv, victim := handbackPair(t)
+	pr := shipper.members.Load().byID[recv.self]
+	first := pipeline.VictimSnapshot{Victim: victim, Undecodable: 1, Sources: []pipeline.SourceCount{{Node: 3, Count: 10}}}
+	second := pipeline.VictimSnapshot{Victim: victim, Alarmed: true, Sources: []pipeline.SourceCount{{Node: 3, Count: 5}, {Node: 9, Count: 2}}}
+	shipper.fileHandback(first, true)
+	if m := shipper.buildMsg(pr, nil); !hasReplica(m, victim) {
+		t.Fatal("request does not carry the handback")
+	}
+	shipper.fileHandback(second, true)
+	shipper.clearShipped(pr)
+	got, ok := pendingHandback(shipper, victim)
+	if !ok || got.Identified() != 17 || got.Undecodable != 1 || !got.Alarmed {
+		t.Fatalf("entry filed in flight: %+v ok=%v, want both detaches summed", got, ok)
+	}
+	if got := shipper.handbacksOut.Load(); got != 0 {
+		t.Fatalf("handbacksOut = %d, want 0", got)
+	}
+
+	if err := shipper.gossipWith(pr); err != nil {
+		t.Fatalf("gossip exchange: %v", err)
+	}
+	eventually(t, "the summed handback to seed at the owner", func() bool {
+		got, ok := precv.ExportVictim(victim)
+		return ok && got.Identified() == 17 && got.Undecodable == 1 && got.Alarmed
+	})
+	if _, ok := pendingHandback(shipper, victim); ok {
+		t.Fatal("handback still pending after a complete exchange")
+	}
+}
+
+// TestHandbackOversizeStaysLocal: a victim with more identified sources
+// than one gossip body holds (5,000, about 80 KB) is detached like any
+// other, but must neither panic nor hold up the entries and replicas
+// around it. It stays on the interim owner as a stored replica, counted
+// in replicaOversize, while a small handback in the same outbox ships;
+// the backup-replica path counts and skips such a snapshot the same way.
+func TestHandbackOversizeStaysLocal(t *testing.T) {
+	const sources = 5000
+	var now atomic.Int64
+	now.Store(1)
+	addrs := []string{"10.9.4.1:1", "10.9.4.2:1", "10.9.4.3:1"}
+	// 8,192 nodes: room for 5,000 distinct sources.
+	n, p := newTestNodeOn(t, topology.NewHypercube(13), addrs[0], []string{addrs[1]}, 941, &now, noNetwork)
+	joinerID := MemberID(addrs[2])
+	ring := n.Ring()
+	joined := NewRing(2, sortedIDs(n.self, MemberID(addrs[1]), joinerID), n.cfg.VNodes)
+
+	// Two victims that move to the joiner, and two that stay here with
+	// the same successor on the joined ring.
+	var moving, staying []topology.NodeID
+	for v := topology.NodeID(0); v < 8192 && (len(moving) < 2 || len(staying) < 2); v++ {
+		if ring.Owner(v) != n.self {
+			continue
+		}
+		switch {
+		case joined.Owner(v) == joinerID && len(moving) < 2:
+			moving = append(moving, v)
+		case joined.Owner(v) == n.self && len(staying) < 2 &&
+			(len(staying) == 0 || joined.Successor(v) == joined.Successor(staying[0])):
+			staying = append(staying, v)
+		}
+	}
+	if len(moving) < 2 || len(staying) < 2 {
+		t.Fatalf("victim search came up short: moving=%v staying=%v", moving, staying)
+	}
+	seedSources := func(v topology.NodeID, k int) {
+		snap := pipeline.VictimSnapshot{Victim: v}
+		for i := 0; i < k; i++ {
+			snap.Sources = append(snap.Sources, pipeline.SourceCount{Node: int64(i), Count: 1})
+		}
+		if !p.SeedVictim(snap) {
+			t.Fatalf("seed of victim %d refused", v)
+		}
+		eventually(t, "a seed to apply", func() bool {
+			got, ok := p.ExportVictim(v)
+			return ok && len(got.Sources) == k
+		})
+	}
+	bigOut, smallOut, bigStay, smallStay := moving[0], moving[1], staying[0], staying[1]
+	seedSources(bigOut, sources)
+	seedSources(smallOut, 3)
+	seedSources(bigStay, sources)
+	seedSources(smallStay, 3)
+
+	if n.addPeer(addrs[2]) == nil {
+		t.Fatal("addPeer rejected the joiner")
+	}
+	n.recomputeMembership()
+	eventually(t, "both moving victims to reach the outbox", func() bool {
+		_, big := pendingHandback(n, bigOut)
+		_, small := pendingHandback(n, smallOut)
+		return big && small
+	})
+
+	m := n.buildMsg(n.members.Load().byID[joinerID], nil)
+	wire.AppendGossip(nil, appendGossipMsg(nil, m)) // panics past one frame
+	if hasReplica(m, bigOut) || !hasReplica(m, smallOut) {
+		t.Fatalf("request carries big=%v small=%v, want only the small handback",
+			hasReplica(m, bigOut), hasReplica(m, smallOut))
+	}
+	if got := n.replicaOversize.Load(); got != 1 {
+		t.Fatalf("replicaOversize = %d, want 1", got)
+	}
+	if _, ok := pendingHandback(n, bigOut); ok {
+		t.Fatal("oversize handback left in the outbox")
+	}
+	n.mu.Lock()
+	kept := n.replicas[bigOut]
+	n.mu.Unlock()
+	if len(kept.Sources) != sources {
+		t.Fatalf("oversize handback kept with %d sources, want a %d-source stored replica", len(kept.Sources), sources)
+	}
+
+	m = n.buildMsg(n.members.Load().byID[n.Ring().Successor(bigStay)], nil)
+	wire.AppendGossip(nil, appendGossipMsg(nil, m))
+	if hasReplica(m, bigStay) || !hasReplica(m, smallStay) {
+		t.Fatalf("backup replicas big=%v small=%v, want only the small one",
+			hasReplica(m, bigStay), hasReplica(m, smallStay))
+	}
+	if got := n.replicaOversize.Load(); got != 2 {
+		t.Fatalf("replicaOversize = %d after the backup pass, want 2", got)
+	}
+}
+
+// TestHandbackManyVictims: one ring change that moves more victims than
+// the old 1,024-entry handback queue held delivers every snapshot to
+// its new owner.
+func TestHandbackManyVictims(t *testing.T) {
+	const side = 40 // 1,600 victims
+	fabric := topology.NewTorus2D(side)
+	var now atomic.Int64
+	// gossipWith derives the pipe's I/O deadline from this clock.
+	now.Store(time.Now().UnixNano())
+	addrs := []string{"10.9.5.1:1", "10.9.5.2:1", "10.9.5.3:1", "10.9.5.4:1"}
+	owners := make(map[string]*Node)
+	for i := 1; i < len(addrs); i++ {
+		var peers []string
+		for j, a := range addrs {
+			if j != i {
+				peers = append(peers, a)
+			}
+		}
+		owners[addrs[i]], _ = newTestNodeOn(t, fabric, addrs[i], peers, uint64(950+i), &now, noNetwork)
+	}
+	n, p := newTestNodeOn(t, fabric, addrs[0], nil, 950, &now, pipeDial(owners, nil))
+	snapOf := func(v topology.NodeID) pipeline.VictimSnapshot {
+		return pipeline.VictimSnapshot{
+			Victim: v, Undecodable: 1,
+			Sources: []pipeline.SourceCount{{Node: int64(v), Count: int64(v) + 1}},
+		}
+	}
+	for v := topology.NodeID(0); v < side*side; v++ {
+		if !p.SeedVictim(snapOf(v)) {
+			t.Fatalf("seed of victim %d refused", v)
+		}
+	}
+	eventually(t, "every victim to be seeded", func() bool { return len(p.Victims()) == side*side })
+
+	for _, a := range addrs[1:] {
+		if n.addPeer(a) == nil {
+			t.Fatalf("addPeer rejected %s", a)
+		}
+	}
+	n.recomputeMembership()
+	ring := n.Ring()
+	moved := 0
+	for v := topology.NodeID(0); v < side*side; v++ {
+		if ring.Owner(v) != n.self {
+			moved++
+		}
+	}
+	if moved <= 1024 {
+		t.Fatalf("only %d victims move; the test needs more than 1024", moved)
+	}
+	eventually(t, "every moving victim to be detached", func() bool {
+		return p.C.VictimsDetached.Load() == uint64(moved) && outboxLen(n) == moved
+	})
+	for round := 0; outboxLen(n) > 0; round++ {
+		if round == 3 {
+			t.Fatalf("%d handbacks still in the outbox after %d rounds", outboxLen(n), round)
+		}
+		now.Store(time.Now().UnixNano())
+		for _, pr := range n.members.Load().list {
+			if err := n.gossipWith(pr); err != nil {
+				t.Fatalf("gossip with %s: %v", pr.addr, err)
+			}
+		}
+	}
+	var in uint64
+	for _, o := range owners {
+		in += o.handbacksIn.Load()
+	}
+	if out := n.handbacksOut.Load(); out != uint64(moved) || in != uint64(moved) {
+		t.Fatalf("handbacks out=%d in=%d, want %d each", out, in, moved)
+	}
+	for _, o := range owners {
+		o := o
+		eventually(t, "every handback to seed at its owner", func() bool {
+			for v := topology.NodeID(0); v < side*side; v++ {
+				if ring.Owner(v) != o.self {
+					continue
+				}
+				got, ok := o.p.ExportVictim(v)
+				if want := snapOf(v); !ok || !reflect.DeepEqual(got, want) {
+					return false
+				}
+			}
+			return true
+		})
+	}
+}
+
+// TestSeedDuringExpiryDoesNotDeadlock is the regression test for a lock
+// cycle: a seed holding Node.mu waits for room in a full shard queue
+// while that shard's worker, in a TTL sweep, runs the expiry hook. The
+// hook must not wait on Node.mu, or neither side ever moves.
+func TestSeedDuringExpiryDoesNotDeadlock(t *testing.T) {
+	const queueLen = 4
+	var pclock, now atomic.Int64
+	pclock.Store(1)
+	now.Store(1)
+	p, err := pipeline.New(pipeline.Config{
+		Net: topology.NewTorus2D(8), Shards: 1, QueueLen: queueLen,
+		BlockThreshold: 1 << 30, BlockTTL: time.Hour,
+		VictimTTL: time.Hour, Now: pclock.Load,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{"10.9.6.1:1", "10.9.6.2:1"}
+	n, err := New(p, Config{
+		Self: addrs[0], Peers: addrs[1:],
+		GossipInterval: time.Hour, FailAfter: time.Second,
+		Incarnation: 961, Dial: noNetwork, Now: now.Load,
+	})
+	if err != nil {
+		p.Close()
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	stuck := false
+	t.Cleanup(func() {
+		releaseOnce.Do(func() { close(release) })
+		if !stuck { // a deadlocked pipeline never closes
+			n.Close()
+			p.Close()
+		}
+	})
+
+	// Four victims this node owns (one to expire, three to seed) and one
+	// it does not (the stall and the filler records).
+	var owned []topology.NodeID
+	other := topology.NodeID(-1)
+	for v := topology.NodeID(0); v < 64; v++ {
+		switch {
+		case n.Ring().Owner(v) == n.self && len(owned) < 4:
+			owned = append(owned, v)
+		case n.Ring().Owner(v) != n.self && other < 0:
+			other = v
+		}
+	}
+	if len(owned) < 4 || other < 0 {
+		t.Fatalf("victim search came up short: owned=%v other=%d", owned, other)
+	}
+	expiring, seeds := owned[0], owned[1:]
+	p.SeedVictim(pipeline.VictimSnapshot{Victim: expiring, Sources: []pipeline.SourceCount{{Node: 1, Count: 5}}})
+	eventually(t, "the expiring victim to exist", func() bool {
+		_, ok := p.ExportVictim(expiring)
+		return ok
+	})
+
+	// Stall the only worker in a detach callback, then fill its queue.
+	entered := make(chan struct{})
+	p.DetachVictim(other, func(pipeline.VictimSnapshot, bool) {
+		close(entered)
+		<-release
+	})
+	<-entered
+	for i := 0; ; i++ {
+		if i > queueLen {
+			t.Fatal("shard queue never filled")
+		}
+		s := p.GetSlab()
+		s.Append(wire.Record{Victim: other, MF: 1, Topo: p.TopoID()})
+		if p.SubmitSlab(s) == 0 {
+			break
+		}
+	}
+	// Past the TTL: the first batch after the stall runs the in-band
+	// sweep, which retires the expiring victim through the hook.
+	pclock.Store(int64(2 * time.Hour))
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m := &gossipMsg{Sender: MemberID(addrs[1])}
+		for _, v := range seeds {
+			m.Replicas = append(m.Replicas, pipeline.VictimSnapshot{
+				Victim: v, Sources: []pipeline.SourceCount{{Node: 2, Count: 7}},
+			})
+		}
+		n.absorb(m)
+	}()
+	// Once the seeding goroutine holds Node.mu it is waiting on the full
+	// queue; only then let the worker go.
+	deadline := time.Now().Add(5 * time.Second)
+	for n.mu.TryLock() {
+		n.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("seeding goroutine never took Node.mu")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	releaseOnce.Do(func() { close(release) })
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		stuck = true
+		t.Fatal("deadlock: the seed holds Node.mu on a full queue while the worker's expiry hook waits for it")
+	}
+	eventually(t, "the seeds to apply and the expiry to file a tombstone", func() bool {
+		n.out.mu.Lock()
+		_, tomb := n.out.entries[outboxKey{victim: expiring, tomb: true}]
+		n.out.mu.Unlock()
+		return tomb && n.seedsApplied.Load() == uint64(len(seeds))
+	})
 }
 
 // sortedIDs is a tiny helper for building expectation rings.

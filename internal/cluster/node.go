@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -149,7 +150,7 @@ type peer struct {
 
 	digest        map[uint64]uint64 // mutations the peer is known to hold
 	replicaCursor int               // round-robin start into owned victims
-	pendingTombs  []topology.NodeID // tombstones attached to the in-flight client request
+	inflight      []shipped         // outbox entries on the in-flight request, gossip-loop goroutine only
 
 	conn net.Conn // gossip conn, gossip-loop goroutine only
 	rd   *wire.Reader
@@ -181,33 +182,28 @@ type Node struct {
 	ringVersion uint64
 	remoteLogs  map[uint64][]filter.Mutation
 	replicas    map[topology.NodeID]pipeline.VictimSnapshot
-	seeded      map[topology.NodeID]bool                    // seeded this ownership epoch
-	retired     map[topology.NodeID]pipeline.VictimSnapshot // TTL-swept victims' tombstones awaiting gossip
 
-	handbackQ   chan pipeline.VictimSnapshot
-	handbackSeq uint64 // handback-loop goroutine only
+	out outbox // tombstones and handbacks awaiting gossip, plus the epoch latch
 
 	// adminAddr is this node's own admin-plane HTTP address, set by the
 	// daemon once its listener is bound and gossiped to peers so the
 	// fleet trace fan-out can reach every member.
 	adminAddr atomic.Pointer[string]
 
-	forwardedOut      atomic.Uint64
-	forwardedIn       atomic.Uint64
-	forwardDropped    atomic.Uint64
-	forwardLost       atomic.Uint64
-	forwardSuppress   atomic.Uint64
-	gossipRounds      atomic.Uint64
-	gossipFails       atomic.Uint64
-	seedsApplied      atomic.Uint64
-	takeovers         atomic.Uint64
-	joins             atomic.Uint64
-	handbacksOut      atomic.Uint64
-	handbacksIn       atomic.Uint64
-	handbackFailures  atomic.Uint64
-	handbackRetries   atomic.Uint64
-	handbackFallbacks atomic.Uint64
-	traceDowngrades   atomic.Uint64
+	forwardedOut    atomic.Uint64
+	forwardedIn     atomic.Uint64
+	forwardDropped  atomic.Uint64
+	forwardLost     atomic.Uint64
+	forwardSuppress atomic.Uint64
+	gossipRounds    atomic.Uint64
+	gossipFails     atomic.Uint64
+	seedsApplied    atomic.Uint64
+	takeovers       atomic.Uint64
+	joins           atomic.Uint64
+	handbacksOut    atomic.Uint64
+	handbacksIn     atomic.Uint64
+	replicaOversize atomic.Uint64
+	traceDowngrades atomic.Uint64
 
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -215,7 +211,7 @@ type Node struct {
 }
 
 // New builds and starts the cluster tier: one forwarder goroutine per
-// peer plus the gossip and handback loops. All configured peers start
+// peer plus the gossip loop. All configured peers start
 // presumed alive (the ring covers the whole fleet immediately); a peer
 // that never answers is declared dead FailAfter from now. A Join
 // address seeds the roster with one live member; the rest is learned
@@ -232,10 +228,11 @@ func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 		start:      cfg.Now(),
 		remoteLogs: make(map[uint64][]filter.Mutation),
 		replicas:   make(map[topology.NodeID]pipeline.VictimSnapshot),
-		seeded:     make(map[topology.NodeID]bool),
-		retired:    make(map[topology.NodeID]pipeline.VictimSnapshot),
-		handbackQ:  make(chan pipeline.VictimSnapshot, 1024),
-		stop:       make(chan struct{}),
+		out: outbox{
+			entries: make(map[outboxKey]outboxEntry),
+			seeded:  make(map[topology.NodeID]bool),
+		},
+		stop: make(chan struct{}),
 	}
 	n.incarnation = cfg.Incarnation
 	if n.incarnation == 0 {
@@ -288,8 +285,6 @@ func New(p *pipeline.Pipeline, cfg Config) (*Node, error) {
 	}
 	n.wg.Add(1)
 	go n.gossipLoop()
-	n.wg.Add(1)
-	go n.handbackLoop()
 	cfg.Logf("cluster: up self=%s id=%x incarnation=%x members=%d", cfg.Self, n.self, n.incarnation, len(members))
 	return n, nil
 }
@@ -484,7 +479,7 @@ func (n *Node) traceForwarded(fr *pipeline.FlightRecorder, rec *wire.Record, ctx
 func (n *Node) noteGateAdmit(victim topology.NodeID, owner, ringVer uint64) {
 	now := n.cfg.Now()
 	if fr := n.p.Recorder(); fr != nil {
-		fr.CommitEventWithID(fr.MintEventID(uint64(victim)), pipeline.OutcomeGateAdmit, now, int64(victim))
+		fr.CommitEvent(pipeline.OutcomeGateAdmit, now, uint64(victim), int64(victim))
 	}
 	if j := n.p.Journal(); j != nil {
 		j.Emit(pipeline.Event{
@@ -643,10 +638,10 @@ func (n *Node) reroute(from *peer, rec wire.Record) {
 	}
 }
 
-// gossipLoop drives anti-entropy: every interval, exchange one
-// request/response with each peer over a persistent connection, then
-// re-derive the alive set from lastHeard and rebuild the ring if it
-// changed.
+// gossipLoop drives anti-entropy: every interval, take back handbacks
+// the ring returned here, exchange one request/response with each peer
+// over a persistent connection, then re-derive the alive set from
+// lastHeard and rebuild the ring if it changed.
 func (n *Node) gossipLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.GossipInterval)
@@ -662,6 +657,7 @@ func (n *Node) gossipLoop() {
 			}
 			return
 		case <-ticker.C:
+			n.reclaimOutbox()
 			for _, pr := range n.members.Load().list {
 				if err := n.gossipWith(pr); err != nil {
 					n.gossipFails.Add(1)
@@ -692,7 +688,7 @@ func (n *Node) noteGossipRound(round uint64) {
 	ring := n.ring.Load()
 	known := len(n.members.Load().list) + 1
 	if fr := n.p.Recorder(); fr != nil {
-		fr.CommitEventWithID(fr.MintEventID(round), pipeline.OutcomeGossip, now, -1)
+		fr.CommitEvent(pipeline.OutcomeGossip, now, round, -1)
 	}
 	if j := n.p.Journal(); j != nil {
 		j.Emit(pipeline.Event{
@@ -749,31 +745,9 @@ func (n *Node) gossipWith(pr *peer) error {
 	n.absorb(resp)
 	pr.lastGossip.Store(n.cfg.Now())
 	// A complete exchange confirms the peer absorbed our request,
-	// including any tombstones it carried; stop re-shipping those.
-	n.mu.Lock()
-	for _, v := range pr.pendingTombs {
-		delete(n.retired, v)
-	}
-	pr.pendingTombs = pr.pendingTombs[:0]
-	n.mu.Unlock()
+	// including the outbox entries it carried.
+	n.clearShipped(pr)
 	return nil
-}
-
-// noteRetired files a TTL-swept victim's final snapshot as a tombstone
-// to gossip to its ring successor, so the backup drops its stored
-// replica instead of resurrecting the retired detector on a later
-// takeover. Runs on a pipeline shard worker with no pipeline locks
-// held (the pipeline's victim-expired hook).
-func (n *Node) noteRetired(snap pipeline.VictimSnapshot) {
-	if !snap.Expired || len(n.members.Load().list) == 0 {
-		return
-	}
-	n.mu.Lock()
-	n.retired[snap.Victim] = snap
-	// Expiry ends this victim's ownership epoch: a future takeover (or
-	// a fresh replica while we still own it) may seed it again.
-	delete(n.seeded, snap.Victim)
-	n.mu.Unlock()
 }
 
 // HandleGossip answers one inbound anti-entropy request (the server
@@ -855,39 +829,14 @@ func (n *Node) buildMsg(pr *peer, reqDigest []digestEntry) *gossipMsg {
 		}
 	}
 	if pr != nil {
-		n.appendReplicasLocked(pr, m, &budget)
 		if reqDigest == nil {
 			// Client side only: the response read-back confirms delivery,
-			// which is what lets a shipped tombstone be forgotten.
-			n.appendTombstonesLocked(pr, m, &budget)
+			// which is what lets a shipped outbox entry be forgotten.
+			n.attachOutboxLocked(pr, m, &budget)
 		}
+		n.appendReplicasLocked(pr, m, &budget)
 	}
 	return m
-}
-
-// appendTombstonesLocked attaches retired-victim tombstones bound for
-// pr — the victims' ring successor, the instance holding their backup
-// replicas — and records which shipped so the completed exchange can
-// clear them (see gossipWith). Caller holds n.mu.
-func (n *Node) appendTombstonesLocked(pr *peer, m *gossipMsg, budget *gossipBudget) {
-	pr.pendingTombs = pr.pendingTombs[:0]
-	if len(n.retired) == 0 {
-		return
-	}
-	ring := n.ring.Load()
-	if ring.Size() <= 1 {
-		return
-	}
-	for v, snap := range n.retired {
-		if ring.Successor(v) != pr.id {
-			continue
-		}
-		if !budget.fitsReplica(&snap) {
-			break
-		}
-		m.Replicas = append(m.Replicas, snap)
-		pr.pendingTombs = append(pr.pendingTombs, v)
-	}
 }
 
 // appendReplicasLocked ships victim-state replicas to pr: snapshots of
@@ -916,6 +865,10 @@ func (n *Node) appendReplicasLocked(pr *peer, m *gossipMsg, budget *gossipBudget
 		if !ok {
 			continue
 		}
+		if budget.oversize(&snap) {
+			n.replicaOversize.Add(1)
+			continue
+		}
 		if !budget.fitsReplica(&snap) {
 			break
 		}
@@ -929,7 +882,8 @@ func (n *Node) appendReplicasLocked(pr *peer, m *gossipMsg, budget *gossipBudget
 // roster entries we have never heard of, join the known fleet),
 // liveness, the sender's digest, its pushed mutations (per-origin
 // contiguous logs feeding the blocklist's LWW register) and any victim
-// replicas addressed to us.
+// replicas addressed to us. A replica that seeds here is a handback
+// received: the sender held state for a victim this instance owns.
 func (n *Node) absorb(m *gossipMsg) {
 	// Membership first, before the lock: addPeer takes n.mu itself. The
 	// id check is the authentication — member ids are the hash of the
@@ -964,7 +918,11 @@ func (n *Node) absorb(m *gossipMsg) {
 	}
 	ring := n.ring.Load()
 	for i := range m.Replicas {
-		n.storeReplicaLocked(ring, m.Replicas[i])
+		if n.storeReplicaLocked(ring, m.Replicas[i]) {
+			n.handbacksIn.Add(1)
+			n.noteHandback(pipeline.EventHandbackRecv, m.Sender, &m.Replicas[i],
+				fmt.Sprintf("from=%x ring=v%d", m.Sender, m.RingVer))
+		}
 	}
 }
 
@@ -988,44 +946,54 @@ func (n *Node) applyOpLocked(op originOp) {
 	}
 }
 
-// storeReplicaLocked files one inbound victim replica. If the ring
-// already says we own the victim (the shipper had a stale ring, or the
-// owner died between shipping and arrival) the replica is seeded into
-// the pipeline immediately — at most once per ownership epoch, since a
-// replica is a cumulative snapshot and seeding is additive. Otherwise
-// it is stored, newest-by-volume wins, until a membership change makes
-// us the owner.
-//
-// An Expired replica is a tombstone: the owner's TTL sweep retired the
-// victim. It replaces whatever replica is stored (so a takeover never
-// resurrects the retired detector), and is never seeded; a later fresh
-// replica replaces the tombstone, since only a live owner ships those.
-// Caller holds n.mu.
-func (n *Node) storeReplicaLocked(ring *Ring, snap pipeline.VictimSnapshot) {
+// storeReplicaLocked files one victim snapshot. If the ring says we own
+// the victim (a handback, a shipper with a stale ring, an owner that
+// died in between) it seeds into the pipeline at most once per
+// ownership epoch, since snapshots are cumulative and seeding additive.
+// Otherwise it is stored, the fullest winning, until a membership
+// change makes us the owner. A tombstone (Expired) replaces the stored
+// replica and never seeds, so a takeover cannot resurrect a retired
+// detector; a later fresh replica replaces it, since only a live owner
+// ships those. Reports whether the snapshot seeded. Caller holds n.mu.
+func (n *Node) storeReplicaLocked(ring *Ring, snap pipeline.VictimSnapshot) bool {
 	v := snap.Victim
 	if ring.Owner(v) == n.self {
-		if snap.Expired {
-			// The previous owner retired this victim before handing it
-			// over; drop the stored replica rather than seeding it.
-			delete(n.replicas, v)
-			return
-		}
-		if !n.seeded[v] && n.p.SeedVictim(snap) {
-			n.seeded[v] = true
-			n.seedsApplied.Add(1)
-		}
 		delete(n.replicas, v)
-		return
+		// A tombstone means the previous owner retired this victim before
+		// handing it over: drop the stored replica rather than seeding.
+		return !snap.Expired && n.seed(snap)
 	}
 	if snap.Expired {
 		n.replicas[v] = snap
-		return
+		return false
 	}
 	total := snap.Identified() + snap.Undecodable
 	if old, ok := n.replicas[v]; ok && !old.Expired && old.Identified()+old.Undecodable > total {
-		return // keep the fuller snapshot
+		return false // keep the fuller snapshot
 	}
 	n.replicas[v] = snap
+	return false
+}
+
+// seed merges snap into the pipeline unless this ownership epoch has
+// already seeded the victim. Called with n.mu held, never with out.mu:
+// SeedVictim may wait on a full shard queue.
+func (n *Node) seed(snap pipeline.VictimSnapshot) bool {
+	v := snap.Victim
+	if v < 0 || int(v) >= n.p.NumNodes() {
+		return false
+	}
+	n.out.mu.Lock()
+	first := !n.out.seeded[v]
+	n.out.seeded[v] = true
+	n.out.mu.Unlock()
+	// SeedVictim fails only once the pipeline is closed, when the latch
+	// no longer matters.
+	if !first || !n.p.SeedVictim(snap) {
+		return false
+	}
+	n.seedsApplied.Add(1)
+	return true
 }
 
 // recomputeMembership re-derives the alive set from lastHeard and, on
@@ -1049,19 +1017,9 @@ func (n *Node) recomputeMembership() {
 	// equal membership — between two sweeps one member can vanish while
 	// another (a runtime join, say) appears, keeping the count constant
 	// but demanding a rebuild all the same.
-	sort.Slice(alive, func(i, j int) bool { return alive[i] < alive[j] })
-	cur := n.ring.Load().Members()
-	if len(alive) == len(cur) {
-		same := true
-		for i := range alive {
-			if alive[i] != cur[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
+	slices.Sort(alive)
+	if slices.Equal(alive, n.ring.Load().Members()) {
+		return
 	}
 	n.mu.Lock()
 	n.ringVersion++
@@ -1070,42 +1028,37 @@ func (n *Node) recomputeMembership() {
 	n.cfg.Logf("cluster: ring v%d alive=%d/%d", ring.Version(), ring.Size(), len(ps.list)+1)
 	seeds := 0
 	for v, snap := range n.replicas {
-		if ring.Owner(v) != n.self {
-			continue
-		}
-		// Tombstones are dropped, never seeded: the dead owner had
-		// already retired this victim's detectors.
-		if !snap.Expired && !n.seeded[v] && n.p.SeedVictim(snap) {
-			n.seeded[v] = true
-			n.seedsApplied.Add(1)
+		// Owned now: seeded and dropped from the store (a tombstone is
+		// just dropped; the dead owner had retired the victim).
+		if ring.Owner(v) == n.self && n.storeReplicaLocked(ring, snap) {
 			seeds++
 		}
-		delete(n.replicas, v)
 	}
 	if seeds > 0 {
 		n.takeovers.Add(1)
 		n.cfg.Logf("cluster: took over %d victims from stored replicas", seeds)
 	}
-	for v := range n.seeded {
+	n.out.mu.Lock()
+	for v := range n.out.seeded {
 		if ring.Owner(v) != n.self {
-			delete(n.seeded, v)
+			delete(n.out.seeded, v)
 		}
 	}
+	n.out.mu.Unlock()
 	n.mu.Unlock()
 	n.noteRingChange(ring, alive, seeds)
 	// Handback: every victim whose exact state lives here but whose new
 	// owner is another alive member is detached through its shard queue
-	// (so records already submitted are tallied into the snapshot) and
-	// shipped from the handback loop. Runs outside n.mu — the detach
-	// callback and the shard workers must never need this lock to make
-	// progress.
+	// (so records already submitted are tallied into the snapshot) into
+	// the outbox. Runs outside n.mu, which SeedVictim holders keep while
+	// they wait on a shard queue.
 	if ring.Size() > 1 {
 		moved := 0
 		for _, v := range n.p.Victims() {
 			if ring.Owner(v) == n.self {
 				continue
 			}
-			if n.p.DetachVictim(v, n.queueHandback) {
+			if n.p.DetachVictim(v, n.fileHandback) {
 				moved++
 			}
 		}
@@ -1125,7 +1078,7 @@ func (n *Node) noteRingChange(ring *Ring, alive []uint64, seeds int) {
 	fr := n.p.Recorder()
 	j := n.p.Journal()
 	if fr != nil {
-		fr.CommitEventWithID(fr.MintEventID(ring.Version()), pipeline.OutcomeRingChange, now, -1)
+		fr.CommitEvent(pipeline.OutcomeRingChange, now, ring.Version(), -1)
 	}
 	if j != nil {
 		members := make([]byte, 0, len(alive)*17)
@@ -1143,7 +1096,7 @@ func (n *Node) noteRingChange(ring *Ring, alive []uint64, seeds int) {
 	}
 	if seeds > 0 {
 		if fr != nil {
-			fr.CommitEventWithID(fr.MintEventID(ring.Version()^uint64(seeds)), pipeline.OutcomeTakeover, now, -1)
+			fr.CommitEvent(pipeline.OutcomeTakeover, now, ring.Version()^uint64(seeds), -1)
 		}
 		if j != nil {
 			j.Emit(pipeline.Event{
@@ -1157,34 +1110,32 @@ func (n *Node) noteRingChange(ring *Ring, alive []uint64, seeds int) {
 
 // Status is the /cluster admin document.
 type Status struct {
-	Self              string         `json:"self"`
-	MemberID          uint64         `json:"member_id"`
-	Incarnation       uint64         `json:"incarnation"`
-	RingVersion       uint64         `json:"ring_version"`
-	Alive             int            `json:"alive"`
-	Members           []MemberStatus `json:"members"`
-	ForwardedOut      uint64         `json:"forwarded_out"`
-	ForwardedIn       uint64         `json:"forwarded_in"`
-	ForwardDropped    uint64         `json:"forward_dropped"`
-	ForwardLost       uint64         `json:"forward_lost"`
-	ForwardSuppress   uint64         `json:"forward_suppressed"`
-	GateAdmitted      int            `json:"gate_admitted_victims"`
-	ForwardQueue      int            `json:"forward_queue_len"`
-	GossipRounds      uint64         `json:"gossip_rounds"`
-	GossipFails       uint64         `json:"gossip_fails"`
-	BlocklistSeq      uint64         `json:"blocklist_seq"`
-	SeedsApplied      uint64         `json:"seeds_applied"`
-	Takeovers         uint64         `json:"takeovers"`
-	Joins             uint64         `json:"members_learned"`
-	HandbacksOut      uint64         `json:"handbacks_sent"`
-	HandbacksIn       uint64         `json:"handbacks_received"`
-	HandbackFailures  uint64         `json:"handback_failures"`
-	HandbackRetries   uint64         `json:"handback_retries"`
-	HandbackFallbacks uint64         `json:"handback_fallback_replicas"`
-	TraceDowngrades   uint64         `json:"trace_downgrades"`
-	StoredReplicas    int            `json:"stored_replicas"`
-	RetiredTombs      int            `json:"retired_tombstones"`
-	OwnedVictims      int            `json:"owned_victims"`
+	Self            string         `json:"self"`
+	MemberID        uint64         `json:"member_id"`
+	Incarnation     uint64         `json:"incarnation"`
+	RingVersion     uint64         `json:"ring_version"`
+	Alive           int            `json:"alive"`
+	Members         []MemberStatus `json:"members"`
+	ForwardedOut    uint64         `json:"forwarded_out"`
+	ForwardedIn     uint64         `json:"forwarded_in"`
+	ForwardDropped  uint64         `json:"forward_dropped"`
+	ForwardLost     uint64         `json:"forward_lost"`
+	ForwardSuppress uint64         `json:"forward_suppressed"`
+	GateAdmitted    int            `json:"gate_admitted_victims"`
+	ForwardQueue    int            `json:"forward_queue_len"`
+	GossipRounds    uint64         `json:"gossip_rounds"`
+	GossipFails     uint64         `json:"gossip_fails"`
+	BlocklistSeq    uint64         `json:"blocklist_seq"`
+	SeedsApplied    uint64         `json:"seeds_applied"`
+	Takeovers       uint64         `json:"takeovers"`
+	Joins           uint64         `json:"members_learned"`
+	HandbacksOut    uint64         `json:"handbacks_sent"`
+	HandbacksIn     uint64         `json:"handbacks_received"`
+	ReplicaOversize uint64         `json:"replica_oversize"`
+	TraceDowngrades uint64         `json:"trace_downgrades"`
+	StoredReplicas  int            `json:"stored_replicas"`
+	Outbox          int            `json:"outbox"`
+	OwnedVictims    int            `json:"owned_victims"`
 }
 
 // MemberStatus is one fleet member's liveness as this instance sees it,
@@ -1223,23 +1174,21 @@ func (n *Node) StatusJSON() any {
 		Members: []MemberStatus{{
 			Addr: n.cfg.Self, ID: n.self, Self: true, Alive: true, RingVersion: ring.Version(),
 		}},
-		ForwardedOut:      n.forwardedOut.Load(),
-		ForwardedIn:       n.forwardedIn.Load(),
-		ForwardDropped:    n.forwardDropped.Load(),
-		ForwardLost:       n.forwardLost.Load(),
-		ForwardSuppress:   n.forwardSuppress.Load(),
-		GossipRounds:      n.gossipRounds.Load(),
-		GossipFails:       n.gossipFails.Load(),
-		BlocklistSeq:      n.bl.Seq(),
-		SeedsApplied:      n.seedsApplied.Load(),
-		Takeovers:         n.takeovers.Load(),
-		Joins:             n.joins.Load(),
-		HandbacksOut:      n.handbacksOut.Load(),
-		HandbacksIn:       n.handbacksIn.Load(),
-		HandbackFailures:  n.handbackFailures.Load(),
-		HandbackRetries:   n.handbackRetries.Load(),
-		HandbackFallbacks: n.handbackFallbacks.Load(),
-		TraceDowngrades:   n.traceDowngrades.Load(),
+		ForwardedOut:    n.forwardedOut.Load(),
+		ForwardedIn:     n.forwardedIn.Load(),
+		ForwardDropped:  n.forwardDropped.Load(),
+		ForwardLost:     n.forwardLost.Load(),
+		ForwardSuppress: n.forwardSuppress.Load(),
+		GossipRounds:    n.gossipRounds.Load(),
+		GossipFails:     n.gossipFails.Load(),
+		BlocklistSeq:    n.bl.Seq(),
+		SeedsApplied:    n.seedsApplied.Load(),
+		Takeovers:       n.takeovers.Load(),
+		Joins:           n.joins.Load(),
+		HandbacksOut:    n.handbacksOut.Load(),
+		HandbacksIn:     n.handbacksIn.Load(),
+		ReplicaOversize: n.replicaOversize.Load(),
+		TraceDowngrades: n.traceDowngrades.Load(),
 	}
 	if n.gate != nil {
 		st.GateAdmitted = n.gate.admittedCount()
@@ -1271,8 +1220,10 @@ func (n *Node) StatusJSON() any {
 	sort.Slice(st.Members, func(i, j int) bool { return st.Members[i].ID < st.Members[j].ID })
 	n.mu.Lock()
 	st.StoredReplicas = len(n.replicas)
-	st.RetiredTombs = len(n.retired)
 	n.mu.Unlock()
+	n.out.mu.Lock()
+	st.Outbox = len(n.out.entries)
+	n.out.mu.Unlock()
 	for _, v := range n.p.Victims() {
 		if ring.Owner(v) == n.self {
 			st.OwnedVictims++
@@ -1301,10 +1252,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	counter("ddpmd_cluster_joins_total", "members learned at runtime (roster or authenticated hello)", n.joins.Load())
 	counter("ddpmd_handback_sent_total", "victim states shipped back to a rejoined owner", n.handbacksOut.Load())
 	counter("ddpmd_handback_received_total", "victim-state handbacks absorbed from interim owners", n.handbacksIn.Load())
-	counter("ddpmd_handback_failed_total", "handback shipments that fell back to a stored replica", n.handbackFailures.Load())
-	counter("ddpmd_handback_shipped_total", "handback snapshots delivered to their new owner", n.handbacksOut.Load())
-	counter("ddpmd_handback_retries_total", "handback shipment attempts beyond the first", n.handbackRetries.Load())
-	counter("ddpmd_handback_fallback_replicas_total", "handbacks that degraded to a locally stored replica", n.handbackFallbacks.Load())
+	counter("ddpmd_replica_oversize_total", "victim snapshots too large for one gossip body, kept local", n.replicaOversize.Load())
 	counter("ddpmd_trace_downgrades_total", "forward sessions established without the trace lane", n.traceDowngrades.Load())
 	ps := n.members.Load()
 	qlen := 0

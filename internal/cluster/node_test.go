@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"reflect"
@@ -20,8 +21,17 @@ import (
 // buildMsg/HandleGossip/absorb.
 func newTestNode(t *testing.T, self string, peers []string, incarnation uint64, now *atomic.Int64) (*Node, *pipeline.Pipeline) {
 	t.Helper()
+	return newTestNodeOn(t, topology.NewTorus2D(8), self, peers, incarnation, now, noNetwork)
+}
+
+func noNetwork(string) (net.Conn, error) { return nil, errors.New("test: no network") }
+
+// newTestNodeOn is newTestNode on a chosen fabric and dialer.
+func newTestNodeOn(t *testing.T, fabric topology.Network, self string, peers []string, incarnation uint64,
+	now *atomic.Int64, dial func(string) (net.Conn, error)) (*Node, *pipeline.Pipeline) {
+	t.Helper()
 	p, err := pipeline.New(pipeline.Config{
-		Net: topology.NewTorus2D(8), Shards: 2, QueueLen: 1 << 12,
+		Net: fabric, Shards: 2, QueueLen: 1 << 12,
 		BlockThreshold: 1 << 30, BlockTTL: time.Hour,
 	})
 	if err != nil {
@@ -32,7 +42,7 @@ func newTestNode(t *testing.T, self string, peers []string, incarnation uint64, 
 		GossipInterval: time.Hour, FailAfter: time.Second,
 		Incarnation:       incarnation,
 		MaxReplicasPerMsg: 64,
-		Dial:              func(string) (net.Conn, error) { return nil, errors.New("test: no network") },
+		Dial:              dial,
 		Now:               now.Load,
 	})
 	if err != nil {
@@ -92,8 +102,8 @@ func TestGossipCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("round trip mangled:\n got %+v\nwant %+v", got, m)
 	}
-	for cut := 1; cut < 20; cut++ {
-		b := appendGossipMsg(nil, m)
+	b := appendGossipMsg(nil, m)
+	for cut := 1; cut < len(b); cut++ {
 		if _, err := parseGossipMsg(b[:len(b)-cut]); err == nil {
 			t.Fatalf("truncation by %d bytes parsed", cut)
 		}
@@ -101,6 +111,78 @@ func TestGossipCodecRoundTrip(t *testing.T) {
 	if _, err := parseGossipMsg(append(appendGossipMsg(nil, m), 0)); err == nil {
 		t.Fatal("trailing byte parsed")
 	}
+	// A well-formed v2 body (the layout without the admin section) and
+	// a future version are both rejected.
+	v2 := appendGossipMsg(nil, m)
+	v2 = v2[:len(v2)-2] // m has no admin address: drop its empty section
+	v2[0] = 2
+	future := appendGossipMsg(nil, m)
+	future[0] = gossipVersion + 1
+	for _, bad := range [][]byte{v2, future} {
+		if _, err := parseGossipMsg(bad); err == nil {
+			t.Fatalf("gossip version %d parsed", bad[0])
+		}
+	}
+}
+
+// TestSnapshotCodecRoundTrip covers the victim snapshot encoding that
+// handbacks, tombstones and backup replicas share: a snapshot survives
+// the round trip, every truncation fails, and bytes after it are handed
+// back untouched as the remainder.
+func TestSnapshotCodecRoundTrip(t *testing.T) {
+	for _, want := range []pipeline.VictimSnapshot{{
+		Victim: 17, Alarmed: true, Undecodable: 3,
+		Sources: []pipeline.SourceCount{{Node: 2, Count: 900}, {Node: 5, Count: 1}},
+	}, {
+		Victim: 63, Expired: true, Undecodable: 1,
+	}} {
+		snap := appendSnapshot(nil, &want)
+		got, rest, err := parseSnapshot(snap)
+		if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip mangled: got %+v rest=%x err=%v, want %+v", got, rest, err, want)
+		}
+		for cut := 1; cut <= len(snap); cut++ {
+			if _, _, err := parseSnapshot(snap[:len(snap)-cut]); err == nil {
+				t.Fatalf("snapshot truncated by %d bytes parsed", cut)
+			}
+		}
+		if got, rest, err := parseSnapshot(append(snap, 0xEE)); err != nil || len(rest) != 1 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot with a trailing byte: %+v rest=%x err=%v", got, rest, err)
+		}
+	}
+}
+
+// FuzzGossipMsg throws arbitrary bodies at the gossip decoder (and so
+// at parseSnapshot): it must never panic, and every body it accepts
+// must re-encode byte-identically — no field it drops, no flag bit it
+// ignores.
+func FuzzGossipMsg(f *testing.F) {
+	full := &gossipMsg{
+		Sender: 0xABCD, RingVer: 7,
+		SenderAddr: "10.9.0.1:7420", SenderAdmin: "10.9.0.1:7421",
+		Roster: []string{"10.9.0.2:7420", "10.9.0.3:7420"},
+		Digest: []digestEntry{{Origin: 1, MaxSeq: 9}},
+		Ops: []originOp{
+			{Origin: 1, Op: filter.Mutation{Seq: 8, Stamp: 11, Node: 3, Until: filter.Permanent, Victim: 63}},
+			{Origin: 2, Op: filter.Mutation{Seq: 3, Stamp: 12, Node: 4, Until: 99, Victim: topology.None, Unblock: true}},
+		},
+		Replicas: []pipeline.VictimSnapshot{
+			{Victim: 63, Alarmed: true, Undecodable: 5, Sources: []pipeline.SourceCount{{Node: 1, Count: 100}}},
+			{Victim: 17, Expired: true},
+		},
+	}
+	f.Add(appendGossipMsg(nil, full))
+	f.Add(appendGossipMsg(nil, &gossipMsg{Sender: 1}))
+	f.Add(appendGossipMsg(nil, &gossipMsg{Sender: 2, Replicas: full.Replicas[1:]}))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m, err := parseGossipMsg(body)
+		if err != nil {
+			return
+		}
+		if re := appendGossipMsg(nil, m); !bytes.Equal(re, body) {
+			t.Fatalf("accepted body re-encodes differently:\n in  %x\n out %x", body, re)
+		}
+	})
 }
 
 // TestGossipBlocklistConvergence: mutations minted anywhere — including
@@ -306,9 +388,9 @@ func TestTombstoneStopsResurrection(t *testing.T) {
 	tomb := snap
 	tomb.Expired = true
 	a.noteRetired(tomb)
-	a.mu.Lock()
-	_, filed := a.retired[victim]
-	a.mu.Unlock()
+	a.out.mu.Lock()
+	_, filed := a.out.entries[outboxKey{victim: victim, tomb: true}]
+	a.out.mu.Unlock()
 	if !filed {
 		t.Fatal("expiry hook did not file a tombstone")
 	}

@@ -3,15 +3,11 @@
 // with deterministic FIFO tie-breaking. All network, attack and
 // detection activity in the simulator is driven by this queue.
 //
-// The queue offers two scheduling surfaces. The typed-event surface
-// (SetHandler + PostAt/PostAfter) is the hot path: events are small
-// payload records (a kind tag, one integer word, one pointer word)
-// dispatched through a single Handler, so steady-state scheduling does
-// not allocate — items live in a freelist-backed slab ordered by an
-// index-based 4-ary heap. The closure surface (At/After) is a thin
-// compatibility layer over the same heap for cold-path callers
-// (injection schedules, tests) that prefer the ergonomic form; each
-// closure costs one allocation, which is fine off the hot path.
+// Events are small typed payload records (a kind tag, one integer
+// word, one pointer word) posted with PostAt/PostAfter and dispatched
+// through a single Handler installed with SetHandler, so steady-state
+// scheduling does not allocate — items live in a freelist-backed slab
+// ordered by an index-based 4-ary heap.
 package eventq
 
 import (
@@ -22,9 +18,6 @@ import (
 // interprets one tick as one link-traversal cycle.
 type Time int64
 
-// Event is a callback scheduled at a point in simulated time.
-type Event func(now Time)
-
 // Handler consumes typed events. kind is the caller-defined event tag
 // passed to PostAt (always ≥ 0); a and p are the payload words given at
 // post time. A single handler serves the whole queue: the simulator
@@ -32,10 +25,6 @@ type Event func(now Time)
 type Handler interface {
 	HandleEvent(now Time, kind int32, a int64, p any)
 }
-
-// kindClosure marks compatibility-layer events carrying an Event
-// closure; user kinds must be non-negative.
-const kindClosure int32 = -1
 
 const noIndex int32 = -1
 
@@ -46,7 +35,6 @@ type item struct {
 	seq  uint64 // insertion order; breaks ties deterministically
 	a    int64
 	p    any
-	fn   Event
 	kind int32
 	gen  uint32 // bumped on release so stale Handles cannot cancel a reused slot
 	dead bool
@@ -101,8 +89,8 @@ type Queue struct {
 // New returns an empty queue at time 0.
 func New() *Queue { return &Queue{} }
 
-// SetHandler installs the typed-event consumer. It must be set before
-// the first PostAt/PostAfter event fires.
+// SetHandler installs the event consumer. It must be set before the
+// first event fires.
 func (q *Queue) SetHandler(h Handler) { q.handler = h }
 
 // Now returns the current simulation time.
@@ -140,65 +128,39 @@ func (q *Queue) alloc(at Time) int32 {
 	return idx
 }
 
-// release returns a popped item to the freelist, clearing references so
-// the slab does not pin packets or closures, and bumping the generation
-// so outstanding Handles to the old event become inert.
+// release returns a popped item to the freelist, clearing the payload
+// so the slab does not pin packets, and bumping the generation so
+// outstanding Handles to the old event become inert.
 func (q *Queue) release(idx int32) {
 	it := &q.slab[idx]
-	it.fn = nil
 	it.p = nil
 	it.gen++
 	q.free = append(q.free, idx)
 }
 
-// PostAt schedules a typed event at absolute time at. kind must be
+// PostAt schedules an event at absolute time at. kind must be
 // non-negative; a and p travel to the Handler verbatim. Steady-state
 // posting is allocation-free (p holds pointer-shaped payloads without
 // boxing). Scheduling in the past panics: it indicates a simulator bug,
 // and silently clamping would mask causality violations.
 func (q *Queue) PostAt(at Time, kind int32, a int64, p any) Handle {
 	if kind < 0 {
-		panic(fmt.Sprintf("eventq: negative event kind %d is reserved", kind))
+		panic(fmt.Sprintf("eventq: negative event kind %d", kind))
 	}
 	idx := q.alloc(at)
 	it := &q.slab[idx]
 	it.kind = kind
 	it.a = a
 	it.p = p
-	it.fn = nil
 	return Handle{q: q, idx: idx, gen: it.gen}
 }
 
-// PostAfter schedules a typed event delay ticks from now.
+// PostAfter schedules an event delay ticks from now.
 func (q *Queue) PostAfter(delay Time, kind int32, a int64, p any) Handle {
 	if delay < 0 {
 		panic(fmt.Sprintf("eventq: negative delay %d", delay))
 	}
 	return q.PostAt(q.now+delay, kind, a, p)
-}
-
-// At schedules fn to run at absolute time at — the closure
-// compatibility layer over the typed queue. Scheduling in the past
-// (before Now) panics.
-func (q *Queue) At(at Time, fn Event) Handle {
-	if fn == nil {
-		panic("eventq: nil event")
-	}
-	idx := q.alloc(at)
-	it := &q.slab[idx]
-	it.kind = kindClosure
-	it.a = 0
-	it.p = nil
-	it.fn = fn
-	return Handle{q: q, idx: idx, gen: it.gen}
-}
-
-// After schedules fn to run delay ticks from now.
-func (q *Queue) After(delay Time, fn Event) Handle {
-	if delay < 0 {
-		panic(fmt.Sprintf("eventq: negative delay %d", delay))
-	}
-	return q.At(q.now+delay, fn)
 }
 
 // Step pops and runs the earliest event, advancing the clock to its
@@ -216,13 +178,9 @@ func (q *Queue) Step() bool {
 		q.fired++
 		// Copy the payload and recycle the slot before dispatch, so the
 		// handler can schedule new events that reuse it immediately.
-		kind, a, p, fn := it.kind, it.a, it.p, it.fn
+		kind, a, p := it.kind, it.a, it.p
 		q.release(idx)
-		if kind == kindClosure {
-			fn(q.now)
-		} else {
-			q.handler.HandleEvent(q.now, kind, a, p)
-		}
+		q.handler.HandleEvent(q.now, kind, a, p)
 		return true
 	}
 	return false

@@ -4,12 +4,27 @@ import (
 	"testing"
 )
 
-func TestOrderingByTime(t *testing.T) {
+// calls is the test handler: each event's pointer word is the func to
+// run, so the tests read like the schedules they check.
+type calls struct{}
+
+func (calls) HandleEvent(now Time, _ int32, _ int64, p any) { p.(func(Time))(now) }
+
+func newQueue() *Queue {
 	q := New()
+	q.SetHandler(calls{})
+	return q
+}
+
+func callAt(q *Queue, t Time, fn func(Time)) Handle    { return q.PostAt(t, 0, 0, fn) }
+func callAfter(q *Queue, d Time, fn func(Time)) Handle { return q.PostAfter(d, 0, 0, fn) }
+
+func TestOrderingByTime(t *testing.T) {
+	q := newQueue()
 	var got []int
-	q.At(30, func(Time) { got = append(got, 3) })
-	q.At(10, func(Time) { got = append(got, 1) })
-	q.At(20, func(Time) { got = append(got, 2) })
+	callAt(q, 30, func(Time) { got = append(got, 3) })
+	callAt(q, 10, func(Time) { got = append(got, 1) })
+	callAt(q, 20, func(Time) { got = append(got, 2) })
 	q.Drain(100)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("execution order %v, want [1 2 3]", got)
@@ -20,11 +35,11 @@ func TestOrderingByTime(t *testing.T) {
 }
 
 func TestFIFOTieBreak(t *testing.T) {
-	q := New()
+	q := newQueue()
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		q.At(5, func(Time) { got = append(got, i) })
+		callAt(q, 5, func(Time) { got = append(got, i) })
 	}
 	q.Drain(100)
 	for i, v := range got {
@@ -35,9 +50,9 @@ func TestFIFOTieBreak(t *testing.T) {
 }
 
 func TestClockAdvancesToEventTime(t *testing.T) {
-	q := New()
+	q := newQueue()
 	var at Time
-	q.At(42, func(now Time) { at = now })
+	callAt(q, 42, func(now Time) { at = now })
 	q.Step()
 	if at != 42 || q.Now() != 42 {
 		t.Errorf("event saw time %d, queue at %d; want 42", at, q.Now())
@@ -45,53 +60,43 @@ func TestClockAdvancesToEventTime(t *testing.T) {
 }
 
 func TestAfterIsRelative(t *testing.T) {
-	q := New()
+	q := newQueue()
 	var second Time
-	q.At(10, func(now Time) {
-		q.After(5, func(n2 Time) { second = n2 })
+	callAt(q, 10, func(now Time) {
+		callAfter(q, 5, func(n2 Time) { second = n2 })
 	})
 	q.Drain(100)
 	if second != 15 {
-		t.Errorf("After(5) from t=10 fired at %d, want 15", second)
+		t.Errorf("PostAfter(5) from t=10 fired at %d, want 15", second)
 	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
-	q := New()
-	q.At(10, func(Time) {})
+	q := newQueue()
+	callAt(q, 10, func(Time) {})
 	q.Step()
 	defer func() {
 		if recover() == nil {
-			t.Error("At(5) at now=10 did not panic")
+			t.Error("PostAt(5) at now=10 did not panic")
 		}
 	}()
-	q.At(5, func(Time) {})
+	callAt(q, 5, func(Time) {})
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
-	q := New()
+	q := newQueue()
 	defer func() {
 		if recover() == nil {
-			t.Error("After(-1) did not panic")
+			t.Error("PostAfter(-1) did not panic")
 		}
 	}()
-	q.After(-1, func(Time) {})
-}
-
-func TestNilEventPanics(t *testing.T) {
-	q := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("nil event did not panic")
-		}
-	}()
-	q.At(1, nil)
+	callAfter(q, -1, func(Time) {})
 }
 
 func TestCancel(t *testing.T) {
-	q := New()
+	q := newQueue()
 	fired := false
-	h := q.At(10, func(Time) { fired = true })
+	h := callAt(q, 10, func(Time) { fired = true })
 	h.Cancel()
 	q.Drain(100)
 	if fired {
@@ -105,11 +110,11 @@ func TestCancel(t *testing.T) {
 }
 
 func TestRunHorizonExclusive(t *testing.T) {
-	q := New()
+	q := newQueue()
 	var got []Time
 	for _, at := range []Time{5, 10, 15, 20} {
 		at := at
-		q.At(at, func(now Time) { got = append(got, now) })
+		callAt(q, at, func(now Time) { got = append(got, now) })
 	}
 	n := q.Run(15)
 	if n != 2 {
@@ -128,7 +133,7 @@ func TestRunHorizonExclusive(t *testing.T) {
 }
 
 func TestRunAdvancesClockOnEmptyQueue(t *testing.T) {
-	q := New()
+	q := newQueue()
 	q.Run(50)
 	if q.Now() != 50 {
 		t.Errorf("Now = %d, want 50", q.Now())
@@ -136,16 +141,16 @@ func TestRunAdvancesClockOnEmptyQueue(t *testing.T) {
 }
 
 func TestSelfRescheduling(t *testing.T) {
-	q := New()
+	q := newQueue()
 	count := 0
 	var tick func(Time)
 	tick = func(now Time) {
 		count++
 		if count < 10 {
-			q.After(3, tick)
+			callAfter(q, 3, tick)
 		}
 	}
-	q.After(3, tick)
+	callAfter(q, 3, tick)
 	q.Drain(1000)
 	if count != 10 {
 		t.Errorf("ticks = %d, want 10", count)
@@ -156,10 +161,10 @@ func TestSelfRescheduling(t *testing.T) {
 }
 
 func TestDrainRunawayGuard(t *testing.T) {
-	q := New()
+	q := newQueue()
 	var loop func(Time)
-	loop = func(Time) { q.After(1, loop) }
-	q.After(1, loop)
+	loop = func(Time) { callAfter(q, 1, loop) }
+	callAfter(q, 1, loop)
 	defer func() {
 		if recover() == nil {
 			t.Error("runaway Drain did not panic")
@@ -169,26 +174,26 @@ func TestDrainRunawayGuard(t *testing.T) {
 }
 
 func TestCancelledBuriedEventsSkippedByRun(t *testing.T) {
-	q := New()
+	q := newQueue()
 	var hs []Handle
 	for i := 0; i < 5; i++ {
-		hs = append(hs, q.At(Time(i+1), func(Time) {}))
+		hs = append(hs, callAt(q, Time(i+1), func(Time) {}))
 	}
 	for _, h := range hs {
 		h.Cancel()
 	}
-	q.At(10, func(Time) {})
+	callAt(q, 10, func(Time) {})
 	if n := q.Run(20); n != 1 {
 		t.Errorf("Run executed %d events, want 1", n)
 	}
 }
 
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
-	q := New()
+	q := newQueue()
 	if q.Step() {
 		t.Error("Step on empty queue returned true")
 	}
-	h := q.At(1, func(Time) {})
+	h := callAt(q, 1, func(Time) {})
 	h.Cancel()
 	if q.Step() {
 		t.Error("Step with only cancelled events returned true")

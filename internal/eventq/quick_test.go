@@ -11,7 +11,7 @@ func TestExecutionOrderMatchesStableSortQuick(t *testing.T) {
 	// a stable sort by time (FIFO among equal times), and the clock is
 	// monotone.
 	f := func(stamps []uint16) bool {
-		q := New()
+		q := newQueue()
 		type rec struct {
 			at  Time
 			idx int
@@ -20,7 +20,7 @@ func TestExecutionOrderMatchesStableSortQuick(t *testing.T) {
 		for i, s := range stamps {
 			at := Time(s % 512)
 			i := i
-			q.At(at, func(now Time) { got = append(got, rec{at: now, idx: i}) })
+			callAt(q, at, func(now Time) { got = append(got, rec{at: now, idx: i}) })
 		}
 		q.Drain(uint64(len(stamps)) + 1)
 		if len(got) != len(stamps) {
@@ -51,12 +51,12 @@ func TestExecutionOrderMatchesStableSortQuick(t *testing.T) {
 func TestCancelSubsetQuick(t *testing.T) {
 	// Property: cancelling any subset removes exactly those events.
 	f := func(stamps []uint8, cancelMask []bool) bool {
-		q := New()
+		q := newQueue()
 		fired := map[int]bool{}
 		var hs []Handle
 		for i, s := range stamps {
 			i := i
-			hs = append(hs, q.At(Time(s), func(Time) { fired[i] = true }))
+			hs = append(hs, callAt(q, Time(s), func(Time) { fired[i] = true }))
 		}
 		cancelled := map[int]bool{}
 		for i, h := range hs {

@@ -38,27 +38,22 @@ func TestTypedEventsDispatchInOrder(t *testing.T) {
 	}
 }
 
-func TestTypedAndClosureEventsInterleaveFIFO(t *testing.T) {
+func TestMixedKindsInterleaveFIFO(t *testing.T) {
 	q := New()
 	r := &recorder{}
 	q.SetHandler(r)
-	var order []string
 	q.PostAt(5, 7, 1, nil) // seq 0
-	q.At(5, func(now Time) { order = append(order, "closure") })
+	q.PostAt(5, 3, 0, nil) // seq 1, another kind
 	q.PostAt(5, 7, 2, nil) // seq 2
-	// Wrap handler dispatches into the same order log.
-	probe := &recorder{}
-	q.SetHandler(handlerFunc(func(now Time, kind int32, a int64, p any) {
-		order = append(order, "typed")
-		probe.HandleEvent(now, kind, a, p)
-	}))
 	q.Drain(10)
-	want := []string{"typed", "closure", "typed"}
-	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
-		t.Fatalf("interleave order = %v, want %v", order, want)
+	want := []recorded{{5, 7, 1, nil}, {5, 3, 0, nil}, {5, 7, 2, nil}}
+	if len(r.events) != len(want) {
+		t.Fatalf("got %d events, want %d", len(r.events), len(want))
 	}
-	if probe.events[0].a != 1 || probe.events[1].a != 2 {
-		t.Errorf("typed payloads out of order: %+v", probe.events)
+	for i, ev := range r.events {
+		if ev != want[i] {
+			t.Errorf("same-time event %d = %+v, want %+v (posting order across kinds)", i, ev, want[i])
+		}
 	}
 }
 
@@ -93,11 +88,11 @@ func TestStaleHandleCannotCancelReusedSlot(t *testing.T) {
 }
 
 func TestCancelledEventsDoNotCountTowardFired(t *testing.T) {
-	q := New()
+	q := newQueue()
 	fired := 0
 	var handles []Handle
 	for i := 0; i < 10; i++ {
-		handles = append(handles, q.After(Time(i+1), func(Time) { fired++ }))
+		handles = append(handles, callAfter(q, Time(i+1), func(Time) { fired++ }))
 	}
 	for i, h := range handles {
 		if i%2 == 0 {
@@ -106,7 +101,7 @@ func TestCancelledEventsDoNotCountTowardFired(t *testing.T) {
 	}
 	q.Run(100)
 	if fired != 5 {
-		t.Fatalf("fired %d closures, want 5", fired)
+		t.Fatalf("fired %d events, want 5", fired)
 	}
 	if q.Fired() != 5 {
 		t.Fatalf("Fired() = %d, want 5 (cancelled events must not count)", q.Fired())
@@ -117,11 +112,11 @@ func TestSlotReuseKeepsOrderingDeterministic(t *testing.T) {
 	// Heavy schedule/fire/reschedule churn through the freelist must
 	// preserve (time, seq) FIFO order — the invariant the simulator's
 	// determinism rests on.
-	q := New()
+	q := newQueue()
 	var got []int
 	var post func(label int, at Time)
 	post = func(label int, at Time) {
-		q.At(at, func(now Time) {
+		callAt(q, at, func(now Time) {
 			got = append(got, label)
 			if label < 100 {
 				post(label+10, now+1)

@@ -246,22 +246,22 @@ func (r *FlightRecorder) CommitGroup(ts []Trace) int {
 	return kept
 }
 
-// CommitEvent retains a synthetic stream-level trace (resync, session
-// loss surfaced as traces) and returns its generated id. Synthetic ids
-// always carry the top bit — a reading hint, not a namespace: exporter
-// ids are uniform 64-bit SplitMix64 values, so uniqueness across both
-// kinds is probabilistic either way.
-func (r *FlightRecorder) CommitEvent(outcome Outcome, now int64, stream uint64) uint64 {
+// CommitEvent retains a synthetic event (a stream-level resync or
+// session loss, a cluster op) and returns its generated id; victim is
+// -1 for events without one. Synthetic ids always carry the top bit — a
+// reading hint, not a namespace: exporter ids are uniform 64-bit
+// SplitMix64 values, so uniqueness across both kinds is probabilistic
+// either way.
+func (r *FlightRecorder) CommitEvent(outcome Outcome, now int64, stream uint64, victim int64) uint64 {
 	id := wire.SplitMix64(r.synthSeq.Add(1)^stream) | 1<<63
-	r.CommitEventWithID(id, outcome, now, -1)
+	r.CommitEventWithID(id, outcome, now, victim)
 	return id
 }
 
 // CommitEventWithID retains a synthetic event under a caller-supplied
 // id — the cluster-op path, where the same operation committed on two
-// nodes (a handback's ship and its seed, say) must share one id so the
-// fleet trace fan-out stitches both halves into a single timeline.
-// victim is -1 for operations without one.
+// nodes (a handback's detach, ship and seed) must share one id so the
+// fleet trace fan-out stitches them into a single timeline.
 func (r *FlightRecorder) CommitEventWithID(id uint64, outcome Outcome, now int64, victim int64) {
 	t := Trace{
 		ID: id, Start: now, Victim: victim, Source: -1, Shard: -1,
@@ -270,13 +270,6 @@ func (r *FlightRecorder) CommitEventWithID(id uint64, outcome Outcome, now int64
 		Identify: SpanMissing, Detect: SpanMissing, Block: SpanMissing,
 	}
 	r.Commit(&t)
-}
-
-// MintEventID generates a synthetic-event id without committing — the
-// handback shipper mints the op id first so it can ride the wire to
-// the receiver before either side commits.
-func (r *FlightRecorder) MintEventID(stream uint64) uint64 {
-	return wire.SplitMix64(r.synthSeq.Add(1)^stream) | 1<<63
 }
 
 // TraceFilter selects traces for Snapshot. Start from AllTraces() and

@@ -22,14 +22,15 @@ const (
 
 	// Cluster-op events (DESIGN.md §14): fleet state transitions leave
 	// audit lines with the ring version + member set in Detail.
-	EventRingChange     = "ring_change"        // ownership ring rebuilt for a new alive set
-	EventGossipRound    = "gossip_round"       // periodic anti-entropy summary (sampled, not per-round)
-	EventVictimDetached = "victim_detached"    // a departing victim's exact state was detached for handback
-	EventHandbackShip   = "handback_shipped"   // cumulative snapshot shipped to the new owner
-	EventHandbackRecv   = "handback_received"  // snapshot received and seeded from an interim owner
-	EventTakeover       = "takeover_seeded"    // stored replica seeded on owner takeover
-	EventGateAdmit      = "forward_gate_admit" // fwGate opened the forward path for a victim
-	EventTraceDowngrade = "trace_downgraded"   // a forward peer did not echo the trace flag; contexts shed
+	EventRingChange      = "ring_change"        // ownership ring rebuilt for a new alive set
+	EventGossipRound     = "gossip_round"       // periodic anti-entropy summary (sampled, not per-round)
+	EventVictimDetached  = "victim_detached"    // a departing victim's exact state was detached for handback
+	EventHandbackShip    = "handback_shipped"   // cumulative snapshot shipped to the new owner
+	EventHandbackRecv    = "handback_received"  // snapshot received and seeded from an interim owner
+	EventReplicaOversize = "replica_oversize"   // a detached snapshot too large for one gossip body, kept as a local replica
+	EventTakeover        = "takeover_seeded"    // stored replica seeded on owner takeover
+	EventGateAdmit       = "forward_gate_admit" // fwGate opened the forward path for a victim
+	EventTraceDowngrade  = "trace_downgraded"   // a forward peer did not echo the trace flag; contexts shed
 )
 
 // SourceCount pairs an identified source with its tally — the per-

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +106,36 @@ func TestPlainStreamCountsForwardedFrames(t *testing.T) {
 	}
 	if got := d.Pipeline().C.Ingested.Load(); got != 2 {
 		t.Errorf("ingested %d records, want only the 2 plain ones", got)
+	}
+}
+
+// TestRetiredHandbackFrameIsADecodeError: type 9 once opened a
+// dedicated victim-state handback exchange. A daemon, with a cluster
+// tier or without, now counts it as one decode error and hangs up.
+func TestRetiredHandbackFrameIsADecodeError(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		cfg := ServerConfig{TCPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0"}
+		if clustered {
+			cfg.NewCluster = func(p *Pipeline) (ClusterNode, error) { return &laneProbe{p: p}, nil }
+		}
+		d := startDaemon(t, cfg)
+		conn, err := net.Dial("tcp", d.TCPAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Magic, version, type 9, a 6-byte payload.
+		frame := []byte{0xD0, 0x5E, wire.Version, 9, 0, 6, 'h', 'b', 0, 0, 0, 0}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("clustered=%v: daemon kept the connection (read %d, err %v)", clustered, n, err)
+		}
+		conn.Close()
+		if got := d.DecodeErrors(); got != 1 {
+			t.Errorf("clustered=%v: decode errors = %d, want 1", clustered, got)
+		}
 	}
 }
 

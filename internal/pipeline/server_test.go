@@ -331,12 +331,11 @@ func (l *laneProbe) Route(s *wire.Slab) int {
 	}
 	return l.p.SubmitSlab(s)
 }
-func (l *laneProbe) NoteForwardedIn(uint64, int)           {}
-func (l *laneProbe) HandleGossip([]byte) ([]byte, error)   { return nil, nil }
-func (l *laneProbe) HandleHandback([]byte) (uint64, error) { return 0, nil }
-func (l *laneProbe) StatusJSON() any                       { return nil }
-func (l *laneProbe) WriteMetrics(io.Writer)                {}
-func (l *laneProbe) Close()                                {}
+func (l *laneProbe) NoteForwardedIn(uint64, int)         {}
+func (l *laneProbe) HandleGossip([]byte) ([]byte, error) { return nil, nil }
+func (l *laneProbe) StatusJSON() any                     { return nil }
+func (l *laneProbe) WriteMetrics(io.Writer)              {}
+func (l *laneProbe) Close()                              {}
 
 // TestTraceFlagEchoFollowsRecorder pins DESIGN.md §10.1: a daemon
 // echoes the hello's trace flag only while its flight recorder is on.

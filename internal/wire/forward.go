@@ -23,6 +23,9 @@ const (
 	// connection: the dialer sends one TypeGossip and reads one back.
 	TypeGossip uint8 = 8
 
+	// Type 9, once a dedicated victim-state handback exchange, is
+	// retired: handbacks ride gossip, and readers reject type 9.
+
 	// GossipOverhead is the crc32(4) tail sealing a gossip payload.
 	GossipOverhead = 4
 

@@ -133,6 +133,16 @@ func TestGossipCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestReaderRejectsRetiredType9: the retired handback type is an
+// unknown frame type like any other, whatever its payload.
+func TestReaderRejectsRetiredType9(t *testing.T) {
+	b := appendHeader(nil, 9, 6)
+	b = append(b, 'h', 'b', 0, 0, 0, 0)
+	if _, _, err := NewReader(bytes.NewReader(b)).ReadFrame(); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("type-9 frame read: err = %v, want ErrBadFrame", err)
+	}
+}
+
 // TestForwardClientNegotiation covers both server answers to a
 // forwarding hello: an echoing server takes TypeForwarded frames, a
 // refusing one fails the connection instead of silently accepting the

@@ -212,7 +212,7 @@ func TestRecordFrameCapacities(t *testing.T) {
 			t.Errorf("type %d frames exceed SlabCap", ftype)
 		}
 	}
-	for _, ftype := range []uint8{TypeHello, TypeAck, TypeGossip, TypeHandback} {
+	for _, ftype := range []uint8{TypeHello, TypeAck, TypeGossip} {
 		if _, ok := FrameLayout(ftype); ok || MaxRecords(ftype) != 0 {
 			t.Errorf("control frame type %d has a record layout", ftype)
 		}

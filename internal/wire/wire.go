@@ -228,10 +228,6 @@ func checkHeader(b []byte) (ftype uint8, n int, err error) {
 		if n < GossipOverhead {
 			return 0, 0, fmt.Errorf("%w: gossip length %d", ErrBadFrame, n)
 		}
-	case TypeHandback:
-		if n < HandbackOverhead {
-			return 0, 0, fmt.Errorf("%w: handback length %d", ErrBadFrame, n)
-		}
 	default:
 		return 0, 0, fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, b[3])
 	}
